@@ -13,8 +13,8 @@
 //! `fetch_add`s to every heap operation and never allocates itself, so
 //! it is re-entrancy-free by construction.
 //!
-//! Per-span attribution rides on the innermost open span of the
-//! allocating thread (see [`crate::registry`]): every allocation's size
+//! Per-span attribution reads the top frame of the allocating thread's
+//! frame stack (see [`crate::registry`]): every allocation's size
 //! is charged to that span's `alloc_bytes`/`allocs` counters, which
 //! `lttf profile` renders as two extra columns. Only allocations are
 //! charged — a span that frees more than it allocates still shows its

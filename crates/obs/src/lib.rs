@@ -7,6 +7,8 @@
 //!    [`span!`], [`counter!`], and [`gauge_ns!`] macros compile out when
 //!    the *calling* crate's `telemetry` cargo feature is disabled, so
 //!    `cargo build --no-default-features` carries zero instrumentation.
+//!    Open spans live on one per-thread frame stack, the single source
+//!    for self time, allocation attribution and the sampler.
 //! 2. **JSON lines** ([`jsonl`]): a flat-object builder, buffered file
 //!    sink, and strict parser shared by the training run logs and the
 //!    testkit bench runner.
@@ -18,13 +20,13 @@
 //!    per-thread ring buffers exported as Chrome `trace_event` JSON (see
 //!    `lttf trace`), per-layer training health statistics with a
 //!    divergence watchdog, and Prometheus-style text exposition for the
-//!    serve front end. [`env`] centralizes the `LTTF_*`/`OBS_*`
+//!    serve front end. [`env`](mod@env) centralizes the `LTTF_*`/`OBS_*`
 //!    environment knobs all of this reads.
 //! 5. **Resource observability** ([`alloc`], [`sampler`], [`cputime`]):
 //!    an instrumented global allocator that counts every allocation and
 //!    charges it to the innermost open span, a continuous stack-sampling
-//!    profiler (`LTTF_PROFILE_HZ`, exported as collapsed flamegraph
-//!    stacks), and std-only process/thread CPU-time clocks used by the
+//!    profiler that copies the frame stacks (`LTTF_PROFILE_HZ`, exported
+//!    as collapsed flamegraph stacks), and std-only process/thread CPU-time clocks used by the
 //!    serve tier for per-request cost attribution. All of it compiles
 //!    out with the `telemetry` feature.
 //!
@@ -151,6 +153,74 @@ mod tests {
         assert!(outer.total_ns >= inner.total_ns);
         assert!(outer.self_ns <= outer.total_ns - inner.total_ns + 1_000_000);
         assert!(inner.self_ns >= 3_000_000, "inner slept 4ms");
+    }
+
+    #[test]
+    #[cfg(feature = "telemetry")]
+    fn allocations_charge_the_innermost_open_span() {
+        use std::hint::black_box;
+        let _g = exclusive();
+        let run = || {
+            let _outer = span!("obs_test_alloc_outer");
+            black_box(Vec::<u8>::with_capacity(1000));
+            {
+                let _inner = span!("obs_test_alloc_inner");
+                black_box(Vec::<u8>::with_capacity(5000));
+            }
+            black_box(Vec::<u8>::with_capacity(3000));
+        };
+        run(); // registers both sites before the measured run
+        reset();
+        run();
+        let snap = snapshot();
+        let charged = |name: &str| {
+            let s = snap.iter().find(|s| s.name == name).unwrap();
+            (s.alloc_bytes, s.allocs)
+        };
+        assert_eq!(charged("obs_test_alloc_inner"), (5000, 1));
+        // The parent is charged before the child opens and again after it closes.
+        assert_eq!(charged("obs_test_alloc_outer"), (4000, 2));
+    }
+
+    #[test]
+    fn nesting_deeper_than_max_depth_keeps_every_call() {
+        fn nest(levels: usize) {
+            if levels > 0 {
+                let _s = span!("obs_test_deep");
+                nest(levels - 1);
+            }
+        }
+        let _g = exclusive();
+        reset();
+        let levels = 2 * registry::MAX_DEPTH + 3;
+        nest(levels);
+        nest(levels);
+        assert_eq!(calls("", "obs_test_deep"), 2 * levels as u64);
+        // The stack unwound to empty: a fresh pair still splits self time.
+        {
+            let _outer = span!("obs_test_deep_outer");
+            let _inner = span!("obs_test_deep_inner");
+            std::thread::sleep(std::time::Duration::from_millis(3));
+        }
+        let snap = snapshot();
+        let find = |name: &str| snap.iter().find(|s| s.name == name).unwrap();
+        let (outer, inner) = (find("obs_test_deep_outer"), find("obs_test_deep_inner"));
+        assert!(outer.self_ns < inner.total_ns, "{outer:?} vs {inner:?}");
+    }
+
+    #[test]
+    #[cfg(feature = "telemetry")]
+    fn exited_threads_release_their_stack_records() {
+        let _g = exclusive();
+        sampler::start(1_000).expect("start sampler");
+        let before = registry::stack_records();
+        for _ in 0..200 {
+            std::thread::spawn(|| drop(span!("obs_test_short_thread"))).join().unwrap();
+        }
+        let after = registry::stack_records();
+        sampler::stop();
+        // Threads ran one at a time; the slack covers other tests' threads.
+        assert!(after <= before + 4, "{before} -> {after} records after 200 threads");
     }
 
     #[test]

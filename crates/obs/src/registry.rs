@@ -1,4 +1,4 @@
-//! Global span/counter registry.
+//! Global span/counter registry and the per-thread frame stack.
 //!
 //! A [`SpanStats`] is a leaked, never-freed bundle of atomics keyed by a
 //! `(group, name)` pair of `&'static str`s. Call sites cache the pointer in
@@ -7,18 +7,28 @@
 //! registry mutex is only touched on first use of each site and when
 //! snapshotting.
 //!
-//! Self-time is tracked with a thread-local span stack: when a guard drops,
-//! it subtracts the time attributed to spans it directly nested and credits
-//! its own elapsed time to its parent's child-accumulator. Spans opened on
-//! pool worker threads have no parent on that thread's stack, so their time
-//! is *not* subtracted from the dispatching span — utilization numbers come
-//! from the pool gauges instead.
+//! Each thread that opens a span owns one **frame stack**, the only record
+//! of its open spans: per frame, the site and the time its direct children
+//! took. A dropping guard subtracts its frame's child time to get self time
+//! and adds its elapsed time to its parent frame; the allocation hook
+//! charges the top frame ([`crate::alloc`]); the sampler
+//! ([`crate::sampler`]) copies the stack from its own thread through a
+//! seqlock; the tracer ([`crate::trace`]) logs the same pushes and pops.
+//! Spans opened on pool worker threads have no parent on that thread's
+//! stack, so their time is *not* subtracted from the dispatching span —
+//! utilization numbers come from the pool gauges instead. Frames deeper
+//! than [`MAX_DEPTH`] are not stored: those spans still count calls and
+//! total time, their allocations go to the deepest stored frame, and their
+//! self time includes their children's.
+//!
+//! Stack records are leaked so the sampler can always read them, but an
+//! exiting thread hands its record to the next new thread.
 
-use std::cell::RefCell;
-#[cfg(feature = "telemetry")]
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{
+    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -111,11 +121,7 @@ impl SpanStats {
         if cached != u32::MAX {
             return cached;
         }
-        let idx = if self.group.is_empty() {
-            trace::intern(self.name)
-        } else {
-            trace::intern(&format!("{}.{}", self.group, self.name))
-        };
+        let idx = trace::intern(&self.display_name());
         self.trace_idx.store(idx, Ordering::Relaxed);
         idx
     }
@@ -167,50 +173,165 @@ pub fn register(group: &'static str, name: &'static str, kind: Kind) -> &'static
         .or_insert_with(|| &*Box::leak(Box::new(SpanStats::new(group, name, kind))))
 }
 
-thread_local! {
-    /// Stack of (span, ns attributed to direct children so far).
-    static SPAN_STACK: RefCell<Vec<(*const SpanStats, u64)>> = const { RefCell::new(Vec::new()) };
+/// Deepest span nesting a frame stack stores (see the module docs).
+pub const MAX_DEPTH: usize = 32;
+
+/// One open span: its site (null until first written) and the ns its
+/// direct children took, which only the owning thread touches.
+#[derive(Default)]
+struct Frame {
+    site: AtomicPtr<SpanStats>,
+    child_ns: AtomicU64,
 }
 
-#[cfg(feature = "telemetry")]
+/// One thread's open spans, innermost last.
+#[derive(Default)]
+struct FrameStack {
+    /// Seqlock over `depth` and the sites: odd while the owner writes.
+    seq: AtomicU64,
+    /// Open spans on the owning thread; may exceed [`MAX_DEPTH`].
+    depth: AtomicUsize,
+    frames: [Frame; MAX_DEPTH],
+    /// Whether a live thread owns this record. Cleared with `Release` at
+    /// thread exit and read with `Acquire` by [`claim`], so the next owner
+    /// sees the reset depth.
+    owned: AtomicBool,
+}
+
+impl FrameStack {
+    /// Owner only: set the depth inside the seqlock, first storing `push`
+    /// as the new top frame.
+    fn set_depth(&self, depth: usize, push: Option<&'static SpanStats>) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
+        fence(Ordering::Release);
+        if let Some((site, frame)) = push.zip(self.frames.get(depth.wrapping_sub(1))) {
+            let site = std::ptr::from_ref(site).cast_mut();
+            frame.site.store(site, Ordering::Relaxed);
+            frame.child_ns.store(0, Ordering::Relaxed);
+        }
+        self.depth.store(depth, Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(2), Ordering::Release);
+    }
+
+    /// Owner only: close the innermost frame after `elapsed` ns and credit
+    /// that time to its parent. Returns the time its own children took.
+    fn pop(&self, elapsed: u64) -> u64 {
+        let top = self.depth.load(Ordering::Relaxed).saturating_sub(1);
+        self.set_depth(top, None);
+        if let Some(parent) = top.checked_sub(1).and_then(|i| self.frames.get(i)) {
+            parent.child_ns.fetch_add(elapsed, Ordering::Relaxed);
+        }
+        self.frames
+            .get(top)
+            .map_or(0, |f| f.child_ns.load(Ordering::Relaxed))
+    }
+
+    /// Owner only: the innermost stored frame's site.
+    #[cfg(feature = "telemetry")]
+    fn top(&self) -> Option<&'static SpanStats> {
+        let depth = self.depth.load(Ordering::Relaxed).min(MAX_DEPTH);
+        let frame = &self.frames[depth.checked_sub(1)?];
+        let site = frame.site.load(Ordering::Relaxed);
+        // SAFETY: sites hold null or pointers to leaked 'static entries.
+        unsafe { site.as_ref() }
+    }
+
+    /// Any thread: the stored frames' sites, outermost first, or `None`
+    /// when the stack is empty or a write overlapped the copy (the sample
+    /// is skipped, not retried).
+    #[cfg(feature = "telemetry")]
+    fn read(&self) -> Option<Vec<&'static SpanStats>> {
+        let seq = self.seq.load(Ordering::Acquire);
+        let depth = self.depth.load(Ordering::Relaxed).min(MAX_DEPTH);
+        // SAFETY: sites hold null or pointers to leaked 'static entries, so
+        // even a torn copy dereferences soundly (and is then discarded).
+        let load = |f: &Frame| unsafe { f.site.load(Ordering::Relaxed).as_ref() };
+        let sites = self.frames[..depth].iter().map(load).collect();
+        fence(Ordering::Acquire);
+        if seq % 2 == 1 || depth == 0 || self.seq.load(Ordering::Relaxed) != seq {
+            return None;
+        }
+        sites
+    }
+}
+
+/// Every stack record ever created, with its current owner's thread name
+/// (which changes only under this lock, when a record is claimed).
+static STACKS: Mutex<Vec<(&'static FrameStack, String)>> = Mutex::new(Vec::new());
+
+/// Take a free stack record for the calling thread, creating one only
+/// when every record is owned.
+fn claim() -> &'static FrameStack {
+    let name = std::thread::current().name().map(str::to_string);
+    let mut all = STACKS.lock().unwrap_or_else(|e| e.into_inner());
+    let free = all
+        .iter()
+        .position(|(st, _)| !st.owned.load(Ordering::Acquire));
+    let i = free.unwrap_or_else(|| {
+        all.push((Box::leak(Box::default()), String::new()));
+        all.len() - 1
+    });
+    all[i].1 = name.unwrap_or_else(|| format!("thread-{i}"));
+    all[i].0.owned.store(true, Ordering::Relaxed);
+    STACK.with(|c| c.set(Some(all[i].0)));
+    all[i].0
+}
+
+/// Hands the thread's record back when the thread exits.
+struct Owner(&'static FrameStack);
+
+impl Drop for Owner {
+    fn drop(&mut self) {
+        STACK.with(|c| c.set(None));
+        self.0.set_depth(0, None);
+        self.0.owned.store(false, Ordering::Release);
+    }
+}
+
 thread_local! {
-    /// The innermost open span, read by the allocation hook. A dedicated
-    /// `Cell` (not [`SPAN_STACK`]): the hook must never touch the
-    /// `RefCell` — pushing onto its `Vec` can itself allocate, and the
-    /// hook would then re-enter a borrowed cell. Reading a const-init
-    /// `Cell` allocates nothing, so the hook cannot recurse.
-    static CURRENT_SPAN: Cell<*const SpanStats> =
-        const { Cell::new(std::ptr::null()) };
+    /// The calling thread's frame stack, `None` until its first span. It
+    /// is const-initialized and has no destructor, so the allocation hook
+    /// can read it without triggering TLS initialization or destructor
+    /// registration, even during thread teardown.
+    static STACK: Cell<Option<&'static FrameStack>> = const { Cell::new(None) };
+    /// Claims the record on first use and releases it at thread exit.
+    static OWNER: Owner = Owner(claim());
 }
 
 /// Charge one allocation of `size` bytes to the calling thread's
 /// innermost open span, if any. Called from the global-allocator hook:
-/// must not allocate, lock, or panic (`try_with` covers TLS teardown).
+/// must not allocate, lock, or panic.
 #[cfg(feature = "telemetry")]
 #[inline]
 pub(crate) fn charge_alloc(size: usize) {
-    let _ = CURRENT_SPAN.try_with(|c| {
-        let p = c.get();
-        if !p.is_null() {
-            // SAFETY: the cell only ever holds pointers to leaked
-            // 'static registry entries (or null).
-            let site = unsafe { &*p };
-            site.alloc_bytes.fetch_add(size as u64, Ordering::Relaxed);
-            site.allocs.fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    if let Some(site) = STACK.with(Cell::get).and_then(FrameStack::top) {
+        site.alloc_bytes.fetch_add(size as u64, Ordering::Relaxed);
+        site.allocs.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Every live thread's open spans as `(thread name, sites outermost
+/// first)`; idle threads and stacks caught mid-write are left out.
+#[cfg(feature = "telemetry")]
+pub(crate) fn open_stacks() -> Vec<(String, Vec<&'static SpanStats>)> {
+    let all = STACKS.lock().unwrap_or_else(|e| e.into_inner());
+    all.iter()
+        .filter_map(|(st, name)| Some((name.clone(), st.read()?)))
+        .collect()
+}
+
+/// Stack records created so far (owned or free).
+#[cfg(test)]
+pub(crate) fn stack_records() -> usize {
+    STACKS.lock().unwrap_or_else(|e| e.into_inner()).len()
 }
 
 struct ActiveSpan {
     site: &'static SpanStats,
     start: Instant,
-    /// The span this one nested inside, restored on drop.
-    #[cfg(feature = "telemetry")]
-    prev: *const SpanStats,
-    /// Whether this span published a sampler shadow-stack frame (the
-    /// sampler may start or stop mid-span; push/pop must stay balanced).
-    #[cfg(feature = "telemetry")]
-    published: bool,
+    /// The frame stack this span pushed onto (`None` during teardown).
+    stack: Option<&'static FrameStack>,
 }
 
 /// RAII timer for one span activation. Obtain via [`crate::span!`] or
@@ -220,25 +341,21 @@ pub struct SpanGuard(Option<ActiveSpan>);
 impl SpanGuard {
     /// Start timing `site` on the current thread.
     pub fn enter(site: &'static SpanStats) -> SpanGuard {
-        SPAN_STACK.with(|s| s.borrow_mut().push((site as *const SpanStats, 0)));
         if trace::enabled() {
             trace::begin(site.trace_idx());
         }
-        #[cfg(feature = "telemetry")]
-        let prev = CURRENT_SPAN.with(|c| c.replace(site as *const SpanStats));
-        #[cfg(feature = "telemetry")]
-        let published = crate::sampler::publishing();
-        #[cfg(feature = "telemetry")]
-        if published {
-            crate::sampler::push_frame(site);
+        // The first span claims the thread's stack; `None` only during
+        // thread teardown, after the stack was handed back.
+        let stack = STACK
+            .with(Cell::get)
+            .or_else(|| OWNER.try_with(|o| o.0).ok());
+        if let Some(st) = stack {
+            st.set_depth(st.depth.load(Ordering::Relaxed) + 1, Some(site));
         }
         SpanGuard(Some(ActiveSpan {
             site,
             start: Instant::now(),
-            #[cfg(feature = "telemetry")]
-            prev,
-            #[cfg(feature = "telemetry")]
-            published,
+            stack,
         }))
     }
 
@@ -263,22 +380,8 @@ impl Drop for SpanGuard {
         if trace::enabled() {
             trace::end(a.site.trace_idx());
         }
-        #[cfg(feature = "telemetry")]
-        {
-            if a.published {
-                crate::sampler::pop_frame();
-            }
-            let _ = CURRENT_SPAN.try_with(|c| c.set(a.prev));
-        }
-        let child_ns = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            // Guards are strictly scoped per thread, so the top entry is ours.
-            let child = stack.pop().map(|(_, c)| c).unwrap_or(0);
-            if let Some(top) = stack.last_mut() {
-                top.1 = top.1.saturating_add(elapsed);
-            }
-            child
-        });
+        // Guards are strictly scoped per thread, so the top frame is ours.
+        let child_ns = a.stack.map_or(0, |st| st.pop(elapsed));
         let self_ns = elapsed.saturating_sub(child_ns);
         a.site.calls.fetch_add(1, Ordering::Relaxed);
         a.site.total_ns.fetch_add(elapsed, Ordering::Relaxed);

@@ -612,14 +612,9 @@ fn flatten_args(line: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Recording is process-global; tests that toggle it must not overlap.
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
+    // Recording is process-global, and turning it on makes span enter/exit
+    // allocate; share the crate lock with the span tests.
+    use crate::exclusive;
 
     #[test]
     fn disabled_records_nothing() {

@@ -339,4 +339,28 @@ mod tests {
         set_threads_override(None);
         assert!(num_threads() >= 1);
     }
+
+    #[test]
+    fn default_thread_count_is_resolved_once() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        const CALLS: u32 = 100_000;
+        const UNCACHED_SAMPLE: u32 = 2_000;
+        num_threads(); // warm-up resolves the default
+        let t = Instant::now();
+        for _ in 0..CALLS {
+            black_box(num_threads());
+        }
+        let cached = t.elapsed();
+        let t = Instant::now();
+        for _ in 0..UNCACHED_SAMPLE {
+            let _ = black_box(std::thread::available_parallelism());
+        }
+        let uncached = t.elapsed() * (CALLS / UNCACHED_SAMPLE);
+        assert!(
+            cached * 10 < uncached,
+            "{CALLS} num_threads() calls took {cached:?}; \
+             {CALLS} uncached lookups take about {uncached:?}"
+        );
+    }
 }

@@ -53,7 +53,9 @@ pub fn set_thread_threads_override(n: Option<usize>) {
 /// The thread count parallel regions will engage: the calling thread's
 /// [`set_thread_threads_override`] if set, else the process-wide
 /// [`set_threads_override`], else `LTTF_THREADS` (parsed once per process
-/// by `lttf_obs::env`), else [`std::thread::available_parallelism`].
+/// by `lttf_obs::env`), else [`std::thread::available_parallelism`]
+/// (resolved once per process: it reads cgroup files on Linux, tens of
+/// microseconds per call, and kernels ask on every dispatch).
 pub fn num_threads() -> usize {
     let l = LOCAL_OVERRIDE.with(|c| c.get());
     if l != 0 {
@@ -66,10 +68,13 @@ pub fn num_threads() -> usize {
     if let Some(n) = lttf_obs::env::threads() {
         return n.min(MAX_THREADS);
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_THREADS)
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(MAX_THREADS)
+    })
 }
 
 /// Type-erased `&(dyn Fn(usize) + Sync)` with the lifetime transmuted

@@ -77,7 +77,7 @@
 //!   generation number, its replica count, and how many requests the old
 //!   generation answered during its lifetime.
 
-use lttf_obs::jsonl::{field, parse_object, JsonObj};
+use lttf_obs::jsonl::{field, parse_object, JsonObj, JsonValue};
 
 /// A parsed inference request.
 #[derive(Clone, Debug)]
@@ -165,7 +165,7 @@ pub enum Command {
 pub fn parse_command(line: &str) -> Result<Command, String> {
     let fields = parse_object(line)?;
     match field(&fields, "cmd").and_then(|v| v.as_str()) {
-        None => parse_request(line).map(Command::Forecast),
+        None => request_from_fields(&fields).map(Command::Forecast),
         Some("metrics") => {
             let id = field(&fields, "id")
                 .and_then(|v| v.as_num())
@@ -244,10 +244,14 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
 /// Parse one request line. Errors are human-readable strings that go
 /// straight into the `error` field of the reject response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
+    request_from_fields(&parse_object(line)?)
+}
+
+/// Build a [`Request`] from an already parsed line.
+fn request_from_fields(fields: &[(String, JsonValue)]) -> Result<Request, String> {
+    let num = |k: &str| field(fields, k).and_then(|v| v.as_num());
     let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let values = field(&fields, "values")
+    let values = field(fields, "values")
         .and_then(|v| v.as_arr())
         .ok_or("missing array 'values'")?;
     if values.len() > MAX_VALUES {
@@ -262,7 +266,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         t0: num("t0").ok_or("missing numeric 't0'")? as i64,
         dt: num("dt").unwrap_or(3600.0) as i64,
         deadline_ms: num("deadline_ms").map(|v| v as u64),
-        model: field(&fields, "model")
+        model: field(fields, "model")
             .and_then(|v| v.as_str())
             .map(str::to_string),
     })
@@ -1095,5 +1099,16 @@ mod tests {
         // non-finite input must be caught before it reaches the model
         let line = "{\"id\":1,\"t0\":0,\"values\":[1,null,2]}";
         assert!(parse_request(line).unwrap_err().contains("non-finite"));
+        // A forecast line routed through parse_command gets the same checks.
+        for line in [
+            "{\"values\":[1,2]}",
+            "{\"id\":1,\"t0\":0}",
+            "{\"id\":1,\"values\":[1,2]}",
+            line,
+        ] {
+            let want = parse_request(line).unwrap_err();
+            let got = parse_command(line).map(|_| ()).unwrap_err();
+            assert_eq!(got, want, "{line}");
+        }
     }
 }

@@ -32,11 +32,15 @@ rm -rf "$STRIPPED_OUT"
 echo "==> cargo build --release --offline --locked"
 cargo build --release --offline --locked
 
+# Member crates' unit tests run for obs, parallel and serve; the whole
+# workspace waits on the tensor tests' process-global SIMD override race.
 echo "==> cargo test -q --offline  (LTTF_THREADS=1 LTTF_SIMD=0, serial + scalar kernels)"
 LTTF_QUIET=1 LTTF_THREADS=1 LTTF_SIMD=0 cargo test -q --offline
+LTTF_QUIET=1 LTTF_THREADS=1 LTTF_SIMD=0 cargo test -q --offline -p lttf-obs -p lttf-parallel -p lttf-serve
 
 echo "==> cargo test -q --offline  (LTTF_THREADS=4 LTTF_SIMD=1, pooled + SIMD dispatch)"
 LTTF_QUIET=1 LTTF_THREADS=4 LTTF_SIMD=1 cargo test -q --offline
+LTTF_QUIET=1 LTTF_THREADS=4 LTTF_SIMD=1 cargo test -q --offline -p lttf-obs -p lttf-parallel -p lttf-serve
 
 echo "==> determinism + serve e2e under the full LTTF_SIMD x LTTF_THREADS matrix"
 # The scalar fallback must never rot, and neither backend may depend on

@@ -27,6 +27,11 @@ use std::collections::HashMap;
 use std::process::exit;
 
 fn usage() -> ! {
+    print_usage();
+    exit(2);
+}
+
+fn print_usage() {
     eprintln!(
         "usage:\n  lttf generate --dataset <ecl|weather|exchange|etth1|ettm1|wind|airdelay> \
          [--len N] [--dims N] [--seed N] --out FILE.csv\n  \
@@ -57,12 +62,55 @@ fn usage() -> ! {
          (sample span stacks at LTTF_PROFILE_HZ, default 99 Hz; writes \
          collapsed stacks for flamegraph.pl/inferno)"
     );
-    exit(2);
 }
 
+/// A subcommand: its name, its handler and the flags it reads.
+type Subcommand = (
+    &'static str,
+    fn(HashMap<String, String>),
+    &'static [&'static str],
+);
+
+/// Every subcommand; a flag outside its list is rejected.
+#[rustfmt::skip]
+const COMMANDS: &[Subcommand] = &[
+    ("generate", cmd_generate, &["dataset", "len", "dims", "seed", "out"]),
+    ("train", cmd_train, &[
+        "data", "target", "lx", "ly", "d-model", "epochs", "seed", "log", "out",
+        "health-every", "health-acts", "health-warn-only", "health-max-grad-norm",
+    ]),
+    ("forecast", cmd_forecast, &["data", "model", "samples", "coverage"]),
+    ("profile", cmd_profile, &[
+        "smoke", "mode", "epochs", "lx", "ly", "d-model", "batch", "len", "dims", "seed",
+        "threads", "name", "out-dir", "flame",
+        "health-every", "health-acts", "health-warn-only", "health-max-grad-norm",
+    ]),
+    ("serve", cmd_serve, &[
+        "model", "port", "max-batch", "max-wait-ms", "queue-cap", "replicas", "policy",
+        "threads-per-replica", "seed", "rate", "burst", "shed-depth", "drift-threshold",
+        "drift-min-count", "sessions", "session-ttl-ms", "adapt", "adapt-lr", "adapt-steps",
+        "adapt-batch", "adapt-buffer", "adapt-min-examples", "adapt-interval-ms",
+    ]),
+    ("watch", cmd_watch, &[
+        "port", "host", "interval-ms", "iters", "model", "scrape-out", "no-clear",
+    ]),
+    ("bench-serve", cmd_bench_serve, &[
+        "mode", "threads", "requests", "max-batch", "max-wait-ms", "lx", "d-model", "clients",
+        "rate", "duration-ms", "pattern", "service-floor-ms", "replicas", "seed", "out-dir",
+        "stream-len", "stream-shift", "stream-lx", "stream-ly",
+        "health-every", "health-acts", "health-warn-only", "health-max-grad-norm",
+    ]),
+];
+
 /// `--key value` pairs, plus valueless boolean flags (`--smoke`): a flag
-/// followed by another `--flag` or by nothing parses as `"true"`.
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// followed by another `--flag` or by nothing parses as `"true"`. A key
+/// outside `accepted` prints usage and exits 2; `--help` prints usage and
+/// exits 0 before the subcommand runs.
+fn parse_flags(args: &[String], accepted: &[&str]) -> HashMap<String, String> {
+    if args.iter().any(|a| a == "--help") {
+        print_usage();
+        exit(0);
+    }
     let mut map = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -70,6 +118,10 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             eprintln!("unexpected argument '{}'", args[i]);
             usage();
         };
+        if !accepted.contains(&key) {
+            eprintln!("unknown flag '--{key}'");
+            usage();
+        }
         if i + 1 >= args.len() || args[i + 1].starts_with("--") {
             map.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -1883,17 +1935,10 @@ fn main() {
     let Some((cmd, rest)) = args.split_first() else {
         usage();
     };
-    let flags = parse_flags(rest);
-    match cmd.as_str() {
-        "generate" => cmd_generate(flags),
-        "train" => cmd_train(flags),
-        "forecast" => cmd_forecast(flags),
-        "profile" => cmd_profile(flags),
-        "serve" => cmd_serve(flags),
-        "watch" => cmd_watch(flags),
-        "bench-serve" => cmd_bench_serve(flags),
-        _ => usage(),
-    }
+    let Some(&(_, run, accepted)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        usage();
+    };
+    run(parse_flags(rest, accepted));
 
     if let Some(path) = flame_out {
         write_flame(&path);

@@ -202,3 +202,35 @@ fn missing_required_flag_fails() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--out"));
 }
+
+#[test]
+fn unknown_flag_prints_usage_and_exits_2() {
+    let csv = workdir().join("bogus_flag.csv");
+    let _ = std::fs::remove_file(&csv);
+    let out = Command::new(env!("CARGO_BIN_EXE_lttf"))
+        .args(["generate", "--dataset", "wind", "--len", "100"])
+        .args(["--bogus-flag", "3", "--out"])
+        .arg(&csv)
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--bogus-flag"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(!csv.exists(), "a rejected command must not run");
+}
+
+#[test]
+fn help_prints_usage_and_runs_nothing() {
+    let out_dir = workdir().join("bench_serve_help");
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_lttf"))
+        .args(["bench-serve", "--help", "--out-dir"])
+        .arg(&out_dir)
+        .output()
+        .expect("run");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    assert!(out.stdout.is_empty(), "--help ran the benchmark");
+    assert!(!out_dir.exists(), "--help wrote benchmark output");
+}
