@@ -34,9 +34,8 @@ use std::time::Instant;
 
 use crate::drift::{DriftConfig, DriftMonitor};
 use crate::engine::{BatchConfig, Engine, Reject, Reply, Submitter};
-use crate::latency::LatencySummary;
 use crate::registry::{LoadedModel, Window};
-use crate::stats::ServeStats;
+use crate::stats::{LatencySummary, ServeStats};
 
 /// How the dispatcher picks a replica for each request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -221,13 +220,6 @@ impl ReplicaPool {
         self.replicas
     }
 
-    /// Live latency summary aggregated over every replica (from the
-    /// lifetime histogram: count/min/max/mean exact, quantiles within
-    /// 3.125%).
-    pub fn latency(&self) -> LatencySummary {
-        self.stats.summary()
-    }
-
     /// The pool's shared live stats: lifetime + trailing-window
     /// histograms and per-replica served counters.
     pub fn stats(&self) -> &Arc<ServeStats> {
@@ -254,7 +246,7 @@ impl ReplicaPool {
         for engine in engines {
             engine.shutdown();
         }
-        self.latency()
+        self.stats.summary()
     }
 }
 

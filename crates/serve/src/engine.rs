@@ -21,9 +21,8 @@ use std::time::{Duration, Instant};
 
 use lttf_obs::trace;
 
-use crate::latency::LatencySummary;
 use crate::registry::{LoadedModel, Window};
-use crate::stats::ServeStats;
+use crate::stats::{LatencySummary, ServeStats};
 
 /// Interned trace-name indices for the request path, computed once. The
 /// async `serve.req` slice is opened at submit on the connection thread
@@ -172,14 +171,6 @@ impl Submitter {
     /// Requests currently queued (approximate; for monitoring).
     pub fn queue_depth(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Live latency summary over every request served so far — the
-    /// monitoring view behind the `"metrics"` request type. Reads the
-    /// fixed-memory lifetime histogram under a short lock; quantiles are
-    /// within 3.125%, count/min/max/mean exact.
-    pub fn latency(&self) -> LatencySummary {
-        self.stats.summary()
     }
 
     /// The shared live-stats handle (windowed histograms, per-replica

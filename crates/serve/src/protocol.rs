@@ -17,8 +17,12 @@
 //! * `model` — optional registry name; defaults to the server's default
 //!   model.
 //!
-//! Responses are `{"id":…,"ok":true,"forecast":[…]}` with `ly` numbers
-//! (the raw-space forecast of the model's target variable), or
+//! Every response shares one envelope: it carries `id` and `ok`, and
+//! `error` when `ok` is false; the rest is the command's payload. The
+//! client-side parsers read that envelope in one place, so each of them
+//! reads only its own payload. A forecast answers
+//! `{"id":…,"ok":true,"forecast":[…]}` with `ly` numbers (the raw-space
+//! forecast of the model's target variable); a refusal is
 //! `{"id":…,"ok":false,"error":"…"}`. Floats use shortest round-trip
 //! formatting, so an `f32` survives the wire bit-for-bit.
 //!
@@ -160,116 +164,128 @@ pub enum Command {
     },
 }
 
+/// The parsed fields of one protocol line.
+type Fields = [(String, JsonValue)];
+
+fn num(fields: &Fields, key: &str) -> Option<f64> {
+    field(fields, key).and_then(|v| v.as_num())
+}
+
+fn text<'a>(fields: &'a Fields, key: &str) -> Option<&'a str> {
+    field(fields, key).and_then(|v| v.as_str())
+}
+
+/// The `id` every request and response carries.
+fn id_of(fields: &Fields) -> Result<u64, String> {
+    Ok(num(fields, "id").ok_or("missing numeric 'id'")? as u64)
+}
+
+/// The request commands `cmd` may name.
+const COMMANDS: [&str; 6] = ["metrics", "stats", "reload", "open", "push", "close"];
+
 /// Parse one request line into a [`Command`]. Lines without a `cmd`
 /// field are forecasts; unknown commands are errors.
 pub fn parse_command(line: &str) -> Result<Command, String> {
     let fields = parse_object(line)?;
-    match field(&fields, "cmd").and_then(|v| v.as_str()) {
-        None => request_from_fields(&fields).map(Command::Forecast),
-        Some("metrics") => {
-            let id = field(&fields, "id")
-                .and_then(|v| v.as_num())
-                .ok_or("missing numeric 'id'")? as u64;
-            Ok(Command::Metrics { id })
-        }
-        Some("stats") => {
-            let id = field(&fields, "id")
-                .and_then(|v| v.as_num())
-                .ok_or("missing numeric 'id'")? as u64;
-            let model = field(&fields, "model")
-                .and_then(|v| v.as_str())
-                .map(str::to_string);
-            Ok(Command::Stats { id, model })
-        }
+    let cmd = text(&fields, "cmd");
+    if let Some(other) = cmd.filter(|c| !COMMANDS.contains(c)) {
+        return Err(format!("unknown cmd '{other}'"));
+    }
+    let id = id_of(&fields)?;
+    let model = || text(&fields, "model").map(str::to_string);
+    let session = |what: &str| {
+        num(&fields, "session")
+            .map(|v| v as u64)
+            .ok_or_else(|| format!("{what} requires a numeric 'session'"))
+    };
+    Ok(match cmd {
+        None => Command::Forecast(request_from_fields(id, &fields)?),
+        Some("metrics") => Command::Metrics { id },
+        Some("stats") => Command::Stats { id, model: model() },
         Some("reload") => {
-            let id = field(&fields, "id")
-                .and_then(|v| v.as_num())
-                .ok_or("missing numeric 'id'")? as u64;
-            let path = field(&fields, "path")
-                .and_then(|v| v.as_str())
-                .ok_or("reload requires a string 'path'")?
-                .to_string();
-            let model = field(&fields, "model")
-                .and_then(|v| v.as_str())
-                .map(str::to_string);
-            Ok(Command::Reload { id, model, path })
+            let path = text(&fields, "path").ok_or("reload requires a string 'path'")?;
+            Command::Reload { id, model: model(), path: path.to_string() }
         }
-        Some("open") => {
-            let id = field(&fields, "id")
-                .and_then(|v| v.as_num())
-                .ok_or("missing numeric 'id'")? as u64;
-            let model = field(&fields, "model")
-                .and_then(|v| v.as_str())
-                .map(str::to_string);
-            let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-            Ok(Command::Open {
-                id,
-                model,
-                t0: num("t0").unwrap_or(0.0) as i64,
-                dt: num("dt").unwrap_or(3600.0) as i64,
-            })
-        }
+        Some("open") => Command::Open {
+            id,
+            model: model(),
+            t0: num(&fields, "t0").unwrap_or(0.0) as i64,
+            dt: num(&fields, "dt").unwrap_or(3600.0) as i64,
+        },
         Some("push") => {
-            let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-            let id = num("id").ok_or("missing numeric 'id'")? as u64;
-            let session = num("session").ok_or("push requires a numeric 'session'")? as u64;
-            let values = field(&fields, "values")
-                .and_then(|v| v.as_arr())
-                .ok_or("push requires an array 'values'")?;
-            if values.len() > MAX_VALUES {
-                return Err(format!("'values' too long ({} > {MAX_VALUES})", values.len()));
-            }
+            let session = session("push")?;
+            let values = values_of(&fields, "push requires an array 'values'")?;
             if values.is_empty() {
                 return Err("push requires a non-empty 'values'".to_string());
             }
-            if values.iter().any(|v| !v.is_finite()) {
-                return Err("'values' contains a non-finite entry".to_string());
-            }
-            Ok(Command::Push {
-                id,
-                session,
-                values: values.iter().map(|&v| v as f32).collect(),
-            })
+            Command::Push { id, session, values }
         }
-        Some("close") => {
-            let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-            let id = num("id").ok_or("missing numeric 'id'")? as u64;
-            let session = num("session").ok_or("close requires a numeric 'session'")? as u64;
-            Ok(Command::Close { id, session })
-        }
-        Some(other) => Err(format!("unknown cmd '{other}'")),
-    }
+        Some("close") => Command::Close { id, session: session("close")? },
+        Some(_) => unreachable!("unknown commands are refused above"),
+    })
 }
 
 /// Parse one request line. Errors are human-readable strings that go
 /// straight into the `error` field of the reject response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    request_from_fields(&parse_object(line)?)
+    let fields = parse_object(line)?;
+    request_from_fields(id_of(&fields)?, &fields)
 }
 
-/// Build a [`Request`] from an already parsed line.
-fn request_from_fields(fields: &[(String, JsonValue)]) -> Result<Request, String> {
-    let num = |k: &str| field(fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let values = field(fields, "values")
-        .and_then(|v| v.as_arr())
-        .ok_or("missing array 'values'")?;
+/// Build a [`Request`] from an already parsed line and its `id`.
+fn request_from_fields(id: u64, fields: &Fields) -> Result<Request, String> {
+    Ok(Request {
+        id,
+        values: values_of(fields, "missing array 'values'")?,
+        t0: num(fields, "t0").ok_or("missing numeric 't0'")? as i64,
+        dt: num(fields, "dt").unwrap_or(3600.0) as i64,
+        deadline_ms: num(fields, "deadline_ms").map(|v| v as u64),
+        model: text(fields, "model").map(str::to_string),
+    })
+}
+
+/// The `values` array of a forecast or push, capped at [`MAX_VALUES`]
+/// and finite throughout; `missing` is the error when it is absent.
+fn values_of(fields: &Fields, missing: &str) -> Result<Vec<f32>, String> {
+    let values = field(fields, "values").and_then(|v| v.as_arr()).ok_or(missing)?;
     if values.len() > MAX_VALUES {
         return Err(format!("'values' too long ({} > {MAX_VALUES})", values.len()));
     }
     if values.iter().any(|v| !v.is_finite()) {
         return Err("'values' contains a non-finite entry".to_string());
     }
-    Ok(Request {
-        id,
-        values: values.iter().map(|&v| v as f32).collect(),
-        t0: num("t0").ok_or("missing numeric 't0'")? as i64,
-        dt: num("dt").unwrap_or(3600.0) as i64,
-        deadline_ms: num("deadline_ms").map(|v| v as u64),
-        model: field(fields, "model")
-            .and_then(|v| v.as_str())
-            .map(str::to_string),
-    })
+    Ok(values.iter().map(|&v| v as f32).collect())
+}
+
+/// One response line with its shared envelope read: `id`, then `ok`,
+/// then on failure the `error` string (`"unknown"` when absent). The
+/// parsed fields stay available for the payload.
+struct Envelope {
+    id: u64,
+    /// `None` on `ok:true`, the server's error on `ok:false`.
+    error: Option<String>,
+    fields: Vec<(String, JsonValue)>,
+}
+
+fn envelope(line: &str) -> Result<Envelope, String> {
+    let fields = parse_object(line)?;
+    let id = id_of(&fields)?;
+    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
+    let error = (!ok).then(|| text(&fields, "error").unwrap_or("unknown").to_string());
+    Ok(Envelope { id, error, fields })
+}
+
+/// Decode a response into `(id, Result<payload, error>)`, reading the
+/// payload of a success line with `payload`.
+fn decode<T>(
+    line: &str,
+    payload: impl FnOnce(&Fields) -> Result<T, String>,
+) -> Result<(u64, Result<T, String>), String> {
+    let env = envelope(line)?;
+    match env.error {
+        Some(error) => Ok((env.id, Err(error))),
+        None => Ok((env.id, Ok(payload(&env.fields)?))),
+    }
 }
 
 /// Format a success response carrying the forecast values, stamped with
@@ -337,23 +353,13 @@ pub struct ReloadInfo {
 
 /// Parse a reload response into `(id, Result<info, error>)`.
 pub fn parse_reload_response(line: &str) -> Result<(u64, Result<ReloadInfo, String>), String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if ok {
-        Ok((
-            id,
-            Ok(ReloadInfo {
-                generation: num("gen").ok_or("reload response missing 'gen'")? as u64,
-                replicas: num("replicas").ok_or("reload response missing 'replicas'")? as usize,
-                drained: num("drained").unwrap_or(0.0) as u64,
-            }),
-        ))
-    } else {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        Ok((id, Err(error.to_string())))
-    }
+    decode(line, |f| {
+        Ok(ReloadInfo {
+            generation: num(f, "gen").ok_or("reload response missing 'gen'")? as u64,
+            replicas: num(f, "replicas").ok_or("reload response missing 'replicas'")? as usize,
+            drained: num(f, "drained").unwrap_or(0.0) as u64,
+        })
+    })
 }
 
 /// Format an `open` request line (client side).
@@ -455,59 +461,33 @@ pub enum PushReply {
 
 /// Parse an `open` response into `(id, Result<(session, window_rows), error>)`.
 pub fn parse_open_response(line: &str) -> Result<(u64, Result<(u64, usize), String>), String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if ok {
-        let session = num("session").ok_or("open response missing 'session'")? as u64;
-        let window = num("window").ok_or("open response missing 'window'")? as usize;
-        Ok((id, Ok((session, window))))
-    } else {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        Ok((id, Err(error.to_string())))
-    }
+    decode(line, |f| {
+        let session = num(f, "session").ok_or("open response missing 'session'")? as u64;
+        let window = num(f, "window").ok_or("open response missing 'window'")? as usize;
+        Ok((session, window))
+    })
 }
 
 /// Parse a `push` response into `(id, Result<PushReply, error>)`.
 pub fn parse_push_response(line: &str) -> Result<(u64, Result<PushReply, String>), String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if !ok {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        return Ok((id, Err(error.to_string())));
-    }
-    if let Some(forecast) = field(&fields, "forecast").and_then(|v| v.as_arr()) {
-        Ok((
-            id,
-            Ok(PushReply::Forecast {
-                generation: num("gen").ok_or("push response missing 'gen'")? as u64,
-                adapted: field(&fields, "adapted").and_then(|v| v.as_bool()).unwrap_or(false),
-                forecast: forecast.iter().map(|&v| v as f32).collect(),
-            }),
-        ))
-    } else {
-        let pending = num("pending").ok_or("push response missing 'pending'")? as usize;
-        Ok((id, Ok(PushReply::Pending(pending))))
-    }
+    decode(line, |f| match field(f, "forecast").and_then(|v| v.as_arr()) {
+        Some(forecast) => Ok(PushReply::Forecast {
+            generation: num(f, "gen").ok_or("push response missing 'gen'")? as u64,
+            adapted: field(f, "adapted").and_then(|v| v.as_bool()).unwrap_or(false),
+            forecast: forecast.iter().map(|&v| v as f32).collect(),
+        }),
+        None => Ok(PushReply::Pending(
+            num(f, "pending").ok_or("push response missing 'pending'")? as usize,
+        )),
+    })
 }
 
 /// Parse a `close` response into `(id, Result<(pushed, forecasts), error>)`.
 pub fn parse_close_response(line: &str) -> Result<(u64, Result<(u64, u64), String>), String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if ok {
-        let pushed = num("pushed").unwrap_or(0.0) as u64;
-        let forecasts = num("forecasts").unwrap_or(0.0) as u64;
-        Ok((id, Ok((pushed, forecasts))))
-    } else {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        Ok((id, Err(error.to_string())))
-    }
+    decode(line, |f| {
+        let count = |k: &str| num(f, k).unwrap_or(0.0) as u64;
+        Ok((count("pushed"), count("forecasts")))
+    })
 }
 
 /// Best-effort extraction of the `id` field from a request line that may
@@ -567,20 +547,9 @@ pub fn format_metrics(id: u64, text: &str) -> String {
 /// Parse a metrics response back into `(id, Result<text, error>)` — the
 /// client half of the `"metrics"` command.
 pub fn parse_metrics_response(line: &str) -> Result<(u64, Result<String, String>), String> {
-    let fields = parse_object(line)?;
-    let id = field(&fields, "id")
-        .and_then(|v| v.as_num())
-        .ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if ok {
-        let text = field(&fields, "metrics")
-            .and_then(|v| v.as_str())
-            .ok_or("ok response missing 'metrics'")?;
-        Ok((id, Ok(text.to_string())))
-    } else {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        Ok((id, Err(error.to_string())))
-    }
+    decode(line, |f| {
+        Ok(text(f, "metrics").ok_or("ok response missing 'metrics'")?.to_string())
+    })
 }
 
 /// One model's live serving state, as carried by the `"stats"` command.
@@ -723,69 +692,57 @@ pub fn format_stats(id: u64, r: &StatsReport) -> String {
 /// Parse a stats response into `(id, Result<report, error>)` — the
 /// client half of the `"stats"` command (`lttf watch` runs on this).
 pub fn parse_stats_response(line: &str) -> Result<(u64, Result<StatsReport, String>), String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if !ok {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        return Ok((id, Err(error.to_string())));
-    }
-    let need = |k: &str| num(k).ok_or_else(|| format!("stats response missing '{k}'"));
-    let flag = |k: &str| field(&fields, k).and_then(|v| v.as_bool()).unwrap_or(false);
-    let report = StatsReport {
-        model: field(&fields, "model")
-            .and_then(|v| v.as_str())
-            .ok_or("stats response missing 'model'")?
-            .to_string(),
-        generation: need("gen")? as u64,
-        replicas: need("replicas")? as usize,
-        queue_depth: need("queue_depth")? as usize,
-        served_total: need("served_total")? as u64,
-        window_ms: need("window_ms")? as u64,
-        window_count: need("window_count")? as u64,
-        p50_ms: need("p50_ms")?,
-        p95_ms: need("p95_ms")?,
-        p99_ms: need("p99_ms")?,
-        queue_p50_ms: need("queue_p50_ms")?,
-        service_p50_ms: need("service_p50_ms")?,
-        // Cost/memory fields are absent in pre-attribution stats lines;
-        // default them so old servers still parse.
-        cpu_p50_ms: num("cpu_p50_ms").unwrap_or(0.0),
-        cpu_p95_ms: num("cpu_p95_ms").unwrap_or(0.0),
-        alloc_p50_bytes: num("alloc_p50_bytes").unwrap_or(0.0),
-        alloc_p95_bytes: num("alloc_p95_bytes").unwrap_or(0.0),
-        mem_live_bytes: num("mem_live_bytes").unwrap_or(0.0) as u64,
-        mem_peak_bytes: num("mem_peak_bytes").unwrap_or(0.0) as u64,
-        shed_per_sec: need("shed_per_sec")?,
-        rejected_per_sec: need("rejected_per_sec")?,
-        resubmitted_per_sec: need("resubmitted_per_sec")?,
-        drift_available: flag("drift_available"),
-        drift_alert: flag("drift_alert"),
-        drift_scores: field(&fields, "drift_scores")
-            .and_then(|v| v.as_arr())
-            .map(|a| a.to_vec())
-            .unwrap_or_default(),
-        drift_prediction_score: num("drift_prediction_score").unwrap_or(0.0),
-        drift_threshold: num("drift_threshold").unwrap_or(0.0),
-        drift_window_count: num("drift_window_count").unwrap_or(0.0) as u64,
-        // Session/adapter fields are absent in pre-session stats lines;
-        // default them so old servers still parse.
-        sessions_open: num("sessions_open").unwrap_or(0.0) as u64,
-        sessions_opened: num("sessions_opened").unwrap_or(0.0) as u64,
-        session_evictions: num("session_evictions").unwrap_or(0.0) as u64,
-        adapt_enabled: flag("adapt_enabled"),
-        adapt_state: field(&fields, "adapt_state")
-            .and_then(|v| v.as_str())
-            .unwrap_or("off")
-            .to_string(),
-        adapt_steps: num("adapt_steps").unwrap_or(0.0) as u64,
-        adapt_rollbacks: num("adapt_rollbacks").unwrap_or(0.0) as u64,
-        adapt_publishes: num("adapt_publishes").unwrap_or(0.0) as u64,
-        adapt_cpu_ms: num("adapt_cpu_ms").unwrap_or(0.0),
-        adapt_alloc_bytes: num("adapt_alloc_bytes").unwrap_or(0.0) as u64,
-    };
-    Ok((id, Ok(report)))
+    decode(line, |f| {
+        let num = |k: &str| num(f, k);
+        let need = |k: &str| num(k).ok_or_else(|| format!("stats response missing '{k}'"));
+        let flag = |k: &str| field(f, k).and_then(|v| v.as_bool()).unwrap_or(false);
+        Ok(StatsReport {
+            model: text(f, "model").ok_or("stats response missing 'model'")?.to_string(),
+            generation: need("gen")? as u64,
+            replicas: need("replicas")? as usize,
+            queue_depth: need("queue_depth")? as usize,
+            served_total: need("served_total")? as u64,
+            window_ms: need("window_ms")? as u64,
+            window_count: need("window_count")? as u64,
+            p50_ms: need("p50_ms")?,
+            p95_ms: need("p95_ms")?,
+            p99_ms: need("p99_ms")?,
+            queue_p50_ms: need("queue_p50_ms")?,
+            service_p50_ms: need("service_p50_ms")?,
+            // Cost/memory fields are absent in pre-attribution stats lines;
+            // default them so old servers still parse.
+            cpu_p50_ms: num("cpu_p50_ms").unwrap_or(0.0),
+            cpu_p95_ms: num("cpu_p95_ms").unwrap_or(0.0),
+            alloc_p50_bytes: num("alloc_p50_bytes").unwrap_or(0.0),
+            alloc_p95_bytes: num("alloc_p95_bytes").unwrap_or(0.0),
+            mem_live_bytes: num("mem_live_bytes").unwrap_or(0.0) as u64,
+            mem_peak_bytes: num("mem_peak_bytes").unwrap_or(0.0) as u64,
+            shed_per_sec: need("shed_per_sec")?,
+            rejected_per_sec: need("rejected_per_sec")?,
+            resubmitted_per_sec: need("resubmitted_per_sec")?,
+            drift_available: flag("drift_available"),
+            drift_alert: flag("drift_alert"),
+            drift_scores: field(f, "drift_scores")
+                .and_then(|v| v.as_arr())
+                .map(|a| a.to_vec())
+                .unwrap_or_default(),
+            drift_prediction_score: num("drift_prediction_score").unwrap_or(0.0),
+            drift_threshold: num("drift_threshold").unwrap_or(0.0),
+            drift_window_count: num("drift_window_count").unwrap_or(0.0) as u64,
+            // Session/adapter fields are absent in pre-session stats lines;
+            // default them so old servers still parse.
+            sessions_open: num("sessions_open").unwrap_or(0.0) as u64,
+            sessions_opened: num("sessions_opened").unwrap_or(0.0) as u64,
+            session_evictions: num("session_evictions").unwrap_or(0.0) as u64,
+            adapt_enabled: flag("adapt_enabled"),
+            adapt_state: text(f, "adapt_state").unwrap_or("off").to_string(),
+            adapt_steps: num("adapt_steps").unwrap_or(0.0) as u64,
+            adapt_rollbacks: num("adapt_rollbacks").unwrap_or(0.0) as u64,
+            adapt_publishes: num("adapt_publishes").unwrap_or(0.0) as u64,
+            adapt_cpu_ms: num("adapt_cpu_ms").unwrap_or(0.0),
+            adapt_alloc_bytes: num("adapt_alloc_bytes").unwrap_or(0.0) as u64,
+        })
+    })
 }
 
 /// Everything a client can learn from one forecast response line.
@@ -806,29 +763,27 @@ pub struct ResponseMeta {
 /// `retry_after_ms` to tell shed traffic from hard failures, and the
 /// reload e2e uses `generation` to prove no mixed-generation batches.
 pub fn parse_response_meta(line: &str) -> Result<ResponseMeta, String> {
-    let fields = parse_object(line)?;
-    let num = |k: &str| field(&fields, k).and_then(|v| v.as_num());
-    let id = num("id").ok_or("missing numeric 'id'")? as u64;
-    let ok = field(&fields, "ok").and_then(|v| v.as_bool()).ok_or("missing 'ok'")?;
-    if ok {
-        let forecast = field(&fields, "forecast")
-            .and_then(|v| v.as_arr())
-            .ok_or("ok response missing 'forecast'")?;
-        Ok(ResponseMeta {
-            id,
-            generation: num("gen").map(|v| v as u64),
-            retry_after_ms: None,
-            result: Ok(forecast.iter().map(|&v| v as f32).collect()),
-        })
-    } else {
-        let error = field(&fields, "error").and_then(|v| v.as_str()).unwrap_or("unknown");
-        Ok(ResponseMeta {
+    let Envelope { id, error, fields } = envelope(line)?;
+    let num_u64 = |k: &str| num(&fields, k).map(|v| v as u64);
+    Ok(match error {
+        Some(error) => ResponseMeta {
             id,
             generation: None,
-            retry_after_ms: num("retry_after_ms").map(|v| v as u64),
-            result: Err(error.to_string()),
-        })
-    }
+            retry_after_ms: num_u64("retry_after_ms"),
+            result: Err(error),
+        },
+        None => {
+            let forecast = field(&fields, "forecast")
+                .and_then(|v| v.as_arr())
+                .ok_or("ok response missing 'forecast'")?;
+            ResponseMeta {
+                id,
+                generation: num_u64("gen"),
+                retry_after_ms: None,
+                result: Ok(forecast.iter().map(|&v| v as f32).collect()),
+            }
+        }
+    })
 }
 
 /// Parse a response line back into `(id, Result<forecast, error>)` — the
@@ -1110,5 +1065,60 @@ mod tests {
             let got = parse_command(line).map(|_| ()).unwrap_err();
             assert_eq!(got, want, "{line}");
         }
+        // Which fault wins when a line has several: an unknown command is
+        // named before a missing id, and push checks id, then session,
+        // then its values.
+        for (line, want) in [
+            ("{\"cmd\":\"bogus\"}", "unknown cmd 'bogus'"),
+            ("{\"cmd\":\"push\",\"values\":[1]}", "missing numeric 'id'"),
+            ("{\"id\":1,\"cmd\":\"push\",\"values\":[]}", "push requires a numeric 'session'"),
+            (
+                "{\"id\":1,\"cmd\":\"push\",\"session\":1,\"values\":[]}",
+                "push requires a non-empty 'values'",
+            ),
+            (
+                "{\"id\":1,\"cmd\":\"push\",\"session\":1,\"values\":[1,null]}",
+                "'values' contains a non-finite entry",
+            ),
+        ] {
+            assert_eq!(parse_command(line).map(|_| ()).unwrap_err(), want, "{line}");
+        }
+    }
+
+    #[test]
+    fn every_response_parser_shares_one_envelope() {
+        type Verdict = Result<(u64, Result<(), String>), String>;
+        type Parser = fn(&str) -> Verdict;
+        fn erase<T>(r: Result<(u64, Result<T, String>), String>) -> Verdict {
+            r.map(|(id, res)| (id, res.map(|_| ())))
+        }
+        let parsers: [(&str, Parser); 7] = [
+            ("reload", |l| erase(parse_reload_response(l))),
+            ("open", |l| erase(parse_open_response(l))),
+            ("push", |l| erase(parse_push_response(l))),
+            ("close", |l| erase(parse_close_response(l))),
+            ("metrics", |l| erase(parse_metrics_response(l))),
+            ("stats", |l| erase(parse_stats_response(l))),
+            ("meta", |l| parse_response_meta(l).map(|m| (m.id, m.result.map(|_| ())))),
+        ];
+        fn fail<T>(e: &str) -> Result<T, String> {
+            Err(e.to_string())
+        }
+        for (name, parse) in parsers {
+            assert!(parse("not json").is_err(), "{name}");
+            assert_eq!(parse("{\"ok\":false,\"error\":\"x\"}"), fail("missing numeric 'id'"), "{name}");
+            assert_eq!(parse("{\"error\":\"x\"}"), fail("missing numeric 'id'"), "{name}");
+            assert_eq!(parse("{\"id\":\"7\",\"ok\":true}"), fail("missing numeric 'id'"), "{name}");
+            assert_eq!(parse("{\"id\":3,\"error\":\"x\"}"), fail("missing 'ok'"), "{name}");
+            assert_eq!(parse("{\"id\":3,\"ok\":1}"), fail("missing 'ok'"), "{name}");
+            assert_eq!(parse(&format_err(4, "boom")), Ok((4, fail("boom"))), "{name}");
+            assert_eq!(parse("{\"id\":5,\"ok\":false}"), Ok((5, fail("unknown"))), "{name}");
+        }
+        // The backoff hint rides on errors only.
+        let hinted = parse_response_meta("{\"id\":1,\"ok\":true,\"forecast\":[1],\"retry_after_ms\":9}");
+        assert_eq!(hinted.unwrap().retry_after_ms, None);
+        let hinted = parse_response_meta("{\"id\":2,\"ok\":false,\"retry_after_ms\":9}").unwrap();
+        assert_eq!((hinted.retry_after_ms, hinted.result), (Some(9), fail("unknown")));
+        assert_eq!(parse_response_meta(&format_err(3, "x")).unwrap().retry_after_ms, None);
     }
 }

@@ -56,16 +56,15 @@ use crate::admission::{Admission, AdmissionConfig};
 use crate::dispatch::{ModelEntry, Policy, PoolConfig};
 use crate::drift::DriftConfig;
 use crate::engine::{BatchConfig, Reject};
-use crate::latency::LatencySummary;
 use crate::metrics::{self, ServerGauges};
 use crate::protocol::{
     extract_id, format_close_ok, format_err, format_metrics, format_ok, format_open_ok,
     format_push_ok, format_push_pending, format_reject, format_reload_ok, format_stats,
     parse_command, Command, StatsReport,
 };
-use crate::registry::{LoadedModel, Registry, Window};
+use crate::registry::{LoadedModel, Registry};
 use crate::session::{SessionConfig, SessionShape, SessionTable};
-use crate::stats::FlowStats;
+use crate::stats::{FlowStats, LatencySummary};
 
 /// How often blocked connection reads wake up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
@@ -468,58 +467,41 @@ fn answer(line: &str, shared: &Shared) -> String {
     // Only admitted traffic is sketched: refused requests never reach the
     // model, so they should not move its input-distribution estimate.
     entry.drift().observe_input(&req.values);
-    let window = match entry.model().make_window(&req.values, req.t0, req.dt) {
-        Ok(w) => w,
-        Err(e) => return format_err(req.id, &e),
-    };
-    let deadline = req
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    match run_forecast(entry, window, deadline, shared) {
-        ForecastOutcome::Done { forecast, entry } => {
-            format_ok(req.id, entry.generation(), &forecast)
-        }
-        ForecastOutcome::QueueFull => {
-            // Aggregate queue capacity exhausted — same backoff hint
-            // as a shed, since both mean "come back after a drain".
-            shared.flow.rejected();
-            format_reject(
-                req.id,
-                &Reject::QueueFull.to_string(),
-                shared.admission.config().shed_retry_ms.max(1),
-            )
-        }
-        ForecastOutcome::Failed(e) => format_err(req.id, &e),
-    }
+    forecast(req.id, entry, &req.values, (req.t0, req.dt), req.deadline_ms, shared, |e, f| {
+        format_ok(req.id, e.generation(), f)
+    })
 }
 
-/// How one prepared window fared against the replica pools.
-enum ForecastOutcome {
-    /// Answered; `entry` is the generation that actually served it
-    /// (relevant after a mid-flight reload or adapter publish).
-    Done {
-        forecast: Vec<f32>,
-        entry: Arc<ModelEntry>,
-    },
-    /// Aggregate queue capacity exhausted; the caller formats a reject
-    /// with a retry hint.
-    QueueFull,
-    Failed(String),
-}
-
-/// Submit a window, retrying across generation swaps: a pool drained
-/// under us (hot reload, adapter publish, or shutdown) hands the window
-/// back, and a new generation in the table means resubmit there.
-fn run_forecast(
+/// Forecast one raw window on `entry` and format the answer. A pool
+/// drained under us (hot reload, adapter publish, or shutdown) hands the
+/// window back, and a new generation in the table means resubmit there.
+/// `ok` formats a success from the generation that actually served it
+/// (relevant after a mid-flight reload or adapter publish): one-shot
+/// forecasts and session pushes differ only there.
+fn forecast(
+    id: u64,
     mut entry: Arc<ModelEntry>,
-    mut window: Window,
-    deadline: Option<Instant>,
+    values: &[f32],
+    (t0, dt): (i64, i64),
+    deadline_ms: Option<u64>,
     shared: &Shared,
-) -> ForecastOutcome {
+    ok: impl FnOnce(&ModelEntry, &[f32]) -> String,
+) -> String {
+    let mut window = match entry.model().make_window(values, t0, dt) {
+        Ok(w) => w,
+        Err(e) => return format_err(id, &e),
+    };
+    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     for _ in 0..=RELOAD_RETRIES {
         let reply_rx = match entry.pool().submit(window, deadline) {
             Ok(rx) => rx,
-            Err((_, Reject::QueueFull)) => return ForecastOutcome::QueueFull,
+            Err((_, Reject::QueueFull)) => {
+                // Aggregate queue capacity exhausted — same backoff hint
+                // as a shed, since both mean "come back after a drain".
+                shared.flow.rejected();
+                let retry_ms = shared.admission.config().shed_retry_ms.max(1);
+                return format_reject(id, &Reject::QueueFull.to_string(), retry_ms);
+            }
             Err((w, Reject::Closed)) => {
                 // Re-read the table: a new generation means retry there;
                 // the same one means the server is going away for real.
@@ -531,7 +513,7 @@ fn run_forecast(
                         entry = cur;
                         continue;
                     }
-                    _ => return ForecastOutcome::Failed(Reject::Closed.to_string()),
+                    _ => return format_err(id, &Reject::Closed.to_string()),
                 }
             }
         };
@@ -540,13 +522,13 @@ fn run_forecast(
         return match reply_rx.recv() {
             Ok(Ok(forecast)) => {
                 entry.drift().observe_prediction(&forecast);
-                ForecastOutcome::Done { forecast, entry }
+                ok(&entry, &forecast)
             }
-            Ok(Err(e)) => ForecastOutcome::Failed(e),
-            Err(_) => ForecastOutcome::Failed("internal error: batcher gone".to_string()),
+            Ok(Err(e)) => format_err(id, &e),
+            Err(_) => format_err(id, "internal error: batcher gone"),
         };
     }
-    ForecastOutcome::Failed("reload storm: retries exhausted".to_string())
+    format_err(id, "reload storm: retries exhausted")
 }
 
 /// Handle one `push`: append rows to the session, and when the rolling
@@ -589,24 +571,9 @@ fn push_session(id: u64, session: u64, values: &[f32], shared: &Shared) -> Strin
     let Some((win_values, win_t0)) = outcome.window else {
         return format_push_pending(id, session, outcome.pending);
     };
-    let window = match entry.model().make_window(&win_values, win_t0, outcome.dt) {
-        Ok(w) => w,
-        Err(e) => return format_err(id, &e),
-    };
-    match run_forecast(entry, window, None, shared) {
-        ForecastOutcome::Done { forecast, entry } => {
-            format_push_ok(id, session, entry.generation(), entry.adapted(), &forecast)
-        }
-        ForecastOutcome::QueueFull => {
-            shared.flow.rejected();
-            format_reject(
-                id,
-                &Reject::QueueFull.to_string(),
-                shared.admission.config().shed_retry_ms.max(1),
-            )
-        }
-        ForecastOutcome::Failed(e) => format_err(id, &e),
-    }
+    forecast(id, entry, &win_values, (win_t0, outcome.dt), None, shared, |e, f| {
+        format_push_ok(id, session, e.generation(), e.adapted(), f)
+    })
 }
 
 /// Build one model's [`StatsReport`] from its live entry plus the

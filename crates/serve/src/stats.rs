@@ -10,6 +10,9 @@
 //!   *right now*" in O(1) memory under unbounded traffic;
 //! - per-replica served counters and windowed latency.
 //!
+//! [`LatencySummary`] condenses any one histogram into the figures the
+//! shutdown line and `lttf bench-serve` report.
+//!
 //! The batcher records once per batch under one short lock; readers
 //! merge the live window buckets on demand. All timestamps are
 //! milliseconds since the stats' own epoch, so tests can drive the
@@ -21,7 +24,54 @@ use std::time::Instant;
 
 use lttf_obs::hist::{Histogram, WindowedCounter, WindowedHistogram};
 
-use crate::latency::LatencySummary;
+/// The latency summary printed on shutdown and written by
+/// `lttf bench-serve`: count, min, max and mean exact, quantiles within
+/// the histogram's 3.125% relative-error bound.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LatencySummary {
+    /// Number of completed requests.
+    pub count: usize,
+    /// Median latency, nanoseconds.
+    pub p50_ns: u64,
+    /// 95th percentile, nanoseconds.
+    pub p95_ns: u64,
+    /// 99th percentile, nanoseconds.
+    pub p99_ns: u64,
+    /// Fastest request, nanoseconds.
+    pub min_ns: u64,
+    /// Slowest request, nanoseconds.
+    pub max_ns: u64,
+    /// Arithmetic mean, nanoseconds.
+    pub mean_ns: u64,
+}
+
+impl LatencySummary {
+    /// Summarise a latency histogram (all zero when it is empty).
+    pub fn from_histogram(h: &Histogram) -> LatencySummary {
+        LatencySummary {
+            count: h.count() as usize,
+            p50_ns: h.quantile(0.50),
+            p95_ns: h.quantile(0.95),
+            p99_ns: h.quantile(0.99),
+            min_ns: h.min(),
+            max_ns: h.max(),
+            mean_ns: h.mean(),
+        }
+    }
+
+    /// One-line human rendering with millisecond units.
+    pub fn render(&self) -> String {
+        let ms = |ns: u64| ns as f64 / 1e6;
+        format!(
+            "{} requests: p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms",
+            self.count,
+            ms(self.p50_ns),
+            ms(self.p95_ns),
+            ms(self.p99_ns),
+            ms(self.max_ns),
+        )
+    }
+}
 
 /// Number of rotating window buckets on the live path.
 pub const WINDOW_BUCKETS: usize = 12;
@@ -191,20 +241,10 @@ impl ServeStats {
         }
     }
 
-    /// The shutdown/e2e summary, from the lifetime histogram: count,
-    /// min, max, and mean are exact; quantiles are within the 1/32
-    /// relative-error bound (and monotone: p50 <= p95 <= p99).
+    /// The shutdown/e2e summary of the lifetime histogram (quantiles
+    /// monotone: p50 <= p95 <= p99).
     pub fn summary(&self) -> LatencySummary {
-        let life = self.lifetime.lock().unwrap_or_else(|e| e.into_inner());
-        LatencySummary {
-            count: life.count() as usize,
-            p50_ns: life.quantile(0.50),
-            p95_ns: life.quantile(0.95),
-            p99_ns: life.quantile(0.99),
-            min_ns: life.min(),
-            max_ns: life.max(),
-            mean_ns: life.mean(),
-        }
+        LatencySummary::from_histogram(&self.lifetime.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 
@@ -336,6 +376,33 @@ mod tests {
         assert!(s.min_ns >= 1_900_000 && s.min_ns <= 2_100_000, "{}", s.min_ns);
         assert_eq!(s.max_ns, 10_000_000);
         assert!(s.p50_ns <= s.p95_ns && s.p95_ns <= s.p99_ns);
+        assert_eq!(s.mean_ns, 5_000_000);
+        assert!(s.render().contains("3 requests"), "{}", s.render());
+        // An empty summary is all zero; per-client histograms merge to the
+        // summary of their union, with count, min, max and mean exact.
+        let zero = LatencySummary {
+            count: 0,
+            p50_ns: 0,
+            p95_ns: 0,
+            p99_ns: 0,
+            min_ns: 0,
+            max_ns: 0,
+            mean_ns: 0,
+        };
+        assert_eq!(ServeStats::new(1).summary(), zero);
+        let (mut merged, mut union) = (Histogram::new(), Histogram::new());
+        for client in 0..4u64 {
+            let mut h = Histogram::new();
+            for v in (1..=25).map(|i| (client * 25 + i) * 1_000) {
+                h.record(v);
+                union.record(v);
+            }
+            merged.merge(&h);
+        }
+        let m = LatencySummary::from_histogram(&merged);
+        assert_eq!(m, LatencySummary::from_histogram(&union));
+        assert_eq!((m.count, m.min_ns, m.max_ns, m.mean_ns), (100, 1_000, 100_000, 50_500));
+        assert!(m.render().contains("100 requests"));
         let w = stats.windowed();
         assert_eq!(w.total.count(), 3);
         assert_eq!(w.queue.count(), 3);

@@ -21,7 +21,8 @@ use lttf::data::synth::{Dataset, SynthSpec};
 use lttf::data::{read_csv, write_csv, Freq, Split, TimeSeries, WindowDataset, MARK_DIM};
 use lttf::eval::{evaluate, train_logged, HealthConfig, TrainOptions, TrainedModel};
 use lttf::nn::{load_params, save_params_with_meta, Fwd, ParamSet};
-use lttf::obs::RunLog;
+use lttf::obs::{Histogram, JsonObj, RunLog};
+use lttf::serve::LatencySummary;
 use lttf::tensor::{Rng, Tensor};
 use std::collections::HashMap;
 use std::process::exit;
@@ -898,13 +899,13 @@ fn cmd_watch(flags: HashMap<String, String>) {
 
 /// One closed-loop client run against a freshly started server: `threads`
 /// clients each send `per_thread` requests back-to-back over their own
-/// connection. Returns (elapsed, client-observed latencies).
+/// connection. Returns (elapsed, summary of client-observed latencies).
 fn bench_serve_run(
     addr: std::net::SocketAddr,
     threads: usize,
     per_thread: usize,
     window: &[f32],
-) -> (std::time::Duration, lttf::serve::LatencyStats) {
+) -> (std::time::Duration, LatencySummary) {
     use std::io::{BufRead, BufReader, Write};
     let t0 = std::time::Instant::now();
     let handles: Vec<_> = (0..threads)
@@ -915,7 +916,7 @@ fn bench_serve_run(
                 stream.set_nodelay(true).expect("nodelay");
                 let mut writer = stream.try_clone().expect("clone");
                 let mut reader = BufReader::new(stream);
-                let mut lat = Vec::with_capacity(per_thread);
+                let mut lat = Histogram::new();
                 let mut resp = String::new();
                 for i in 0..per_thread {
                     let line = lttf::obs::JsonObj::new()
@@ -928,7 +929,7 @@ fn bench_serve_run(
                     writeln!(writer, "{line}").expect("send");
                     resp.clear();
                     reader.read_line(&mut resp).expect("recv");
-                    lat.push(sent.elapsed().as_nanos() as u64);
+                    lat.record(sent.elapsed().as_nanos() as u64);
                     let (_, result) =
                         lttf::serve::protocol::parse_response(resp.trim_end()).expect("parse");
                     result.expect("request failed");
@@ -937,13 +938,21 @@ fn bench_serve_run(
             })
         })
         .collect();
-    let mut stats = lttf::serve::LatencyStats::new();
+    let mut stats = Histogram::new();
     for h in handles {
-        for ns in h.join().expect("client thread") {
-            stats.record(ns);
-        }
+        stats.merge(&h.join().expect("client thread"));
     }
-    (t0.elapsed(), stats)
+    (t0.elapsed(), LatencySummary::from_histogram(&stats))
+}
+
+/// The six latency fields of a `BENCH_serve.json` row, in their order.
+fn latency_fields(row: JsonObj, s: &LatencySummary) -> JsonObj {
+    row.int("min_ns", s.min_ns)
+        .int("mean_ns", s.mean_ns)
+        .int("median_ns", s.p50_ns)
+        .int("p95_ns", s.p95_ns)
+        .int("p99_ns", s.p99_ns)
+        .int("max_ns", s.max_ns)
 }
 
 /// Arrival-rate envelope for the open-loop generator: a multiplier on
@@ -1031,7 +1040,7 @@ struct OpenLoopOutcome {
     completed: u64,
     shed: u64,
     failed: u64,
-    stats: lttf::serve::LatencyStats,
+    stats: Histogram,
     elapsed: std::time::Duration,
     first_error: Option<String>,
 }
@@ -1072,7 +1081,7 @@ fn open_loop_run(
                     completed: 0,
                     shed: 0,
                     failed: 0,
-                    stats: lttf::serve::LatencyStats::new(),
+                    stats: Histogram::new(),
                     elapsed: std::time::Duration::ZERO,
                     first_error: None,
                 };
@@ -1149,7 +1158,7 @@ fn open_loop_run(
         completed: 0,
         shed: 0,
         failed: 0,
-        stats: lttf::serve::LatencyStats::new(),
+        stats: Histogram::new(),
         elapsed: std::time::Duration::ZERO,
         first_error: None,
     };
@@ -1314,7 +1323,6 @@ fn stream_series(
 /// however few cores the host has. The floor and the host's core count
 /// are recorded in every affected entry.
 fn cmd_bench_serve(flags: HashMap<String, String>) {
-    use lttf::obs::JsonObj;
     let mode = flags.get("mode").map(String::as_str).unwrap_or("all");
     let threads = get(&flags, "threads", 8usize);
     let requests = get(&flags, "requests", 40usize); // per thread
@@ -1390,10 +1398,10 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
     let open_entry = |label: &str,
                       replicas: usize,
                       out: &OpenLoopOutcome,
-                      summary: &lttf::serve::LatencySummary| {
+                      summary: &LatencySummary| {
         let offered = out.sent as f64 / out.elapsed.as_secs_f64();
         let rps = out.completed as f64 / out.elapsed.as_secs_f64();
-        JsonObj::new()
+        let row = JsonObj::new()
             .str("suite", "serve")
             .str("bench", label)
             .int("clients", clients as u64)
@@ -1406,14 +1414,8 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
             .int("sent", out.sent)
             .int("completed", out.completed)
             .int("shed", out.shed)
-            .int("failed", out.failed)
-            .int("min_ns", summary.min_ns)
-            .int("mean_ns", summary.mean_ns)
-            .int("median_ns", summary.p50_ns)
-            .int("p95_ns", summary.p95_ns)
-            .int("p99_ns", summary.p99_ns)
-            .int("max_ns", summary.max_ns)
-            .finish()
+            .int("failed", out.failed);
+        latency_fields(row, summary).finish()
     };
 
     let run_open = |replicas: usize, lines: &mut Vec<String>| -> f64 {
@@ -1423,7 +1425,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
                 eprintln!("cannot start server: {e}");
                 exit(1);
             });
-        let mut out = open_loop_run(
+        let out = open_loop_run(
             handle.addr(),
             clients,
             rate,
@@ -1433,7 +1435,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
             &open_window,
         );
         handle.shutdown();
-        let summary = out.stats.summary();
+        let summary = LatencySummary::from_histogram(&out.stats);
         let offered = out.sent as f64 / out.elapsed.as_secs_f64();
         let rps = out.completed as f64 / out.elapsed.as_secs_f64();
         println!(
@@ -1483,27 +1485,18 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
                 eprintln!("cannot start server: {e}");
                 exit(1);
             });
-            let (elapsed, mut stats) = bench_serve_run(handle.addr(), 1, n, &window);
+            let (elapsed, summary) = bench_serve_run(handle.addr(), 1, n, &window);
             handle.shutdown();
             let throughput = n as f64 / elapsed.as_secs_f64();
-            let summary = stats.summary();
             println!("single client: {throughput:.1} req/s, {}", summary.render());
-            lines.push(
-                JsonObj::new()
-                    .str("suite", "serve")
-                    .str("bench", "closed_loop_single_client/max_batch_1")
-                    .int("threads", 1)
-                    .int("requests", n as u64)
-                    .int("max_batch", 1)
-                    .num("rps", throughput)
-                    .int("min_ns", summary.min_ns)
-                    .int("mean_ns", summary.mean_ns)
-                    .int("median_ns", summary.p50_ns)
-                    .int("p95_ns", summary.p95_ns)
-                    .int("p99_ns", summary.p99_ns)
-                    .int("max_ns", summary.max_ns)
-                    .finish(),
-            );
+            let row = JsonObj::new()
+                .str("suite", "serve")
+                .str("bench", "closed_loop_single_client/max_batch_1")
+                .int("threads", 1)
+                .int("requests", n as u64)
+                .int("max_batch", 1)
+                .num("rps", throughput);
+            lines.push(latency_fields(row, &summary).finish());
         }
 
         println!(
@@ -1529,32 +1522,23 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
                 eprintln!("cannot start server: {e}");
                 exit(1);
             });
-            let (elapsed, mut stats) = bench_serve_run(handle.addr(), threads, requests, &window);
+            let (elapsed, summary) = bench_serve_run(handle.addr(), threads, requests, &window);
             handle.shutdown();
             let total = threads * requests;
             let throughput = total as f64 / elapsed.as_secs_f64();
-            let summary = stats.summary();
             println!(
                 "max_batch {batch}: {throughput:.1} req/s, {}",
                 summary.render()
             );
             rps.push(throughput);
-            lines.push(
-                JsonObj::new()
-                    .str("suite", "serve")
-                    .str("bench", &format!("closed_loop/max_batch_{batch}"))
-                    .int("threads", threads as u64)
-                    .int("requests", total as u64)
-                    .int("max_batch", batch as u64)
-                    .num("rps", throughput)
-                    .int("min_ns", summary.min_ns)
-                    .int("mean_ns", summary.mean_ns)
-                    .int("median_ns", summary.p50_ns)
-                    .int("p95_ns", summary.p95_ns)
-                    .int("p99_ns", summary.p99_ns)
-                    .int("max_ns", summary.max_ns)
-                    .finish(),
-            );
+            let row = JsonObj::new()
+                .str("suite", "serve")
+                .str("bench", &format!("closed_loop/max_batch_{batch}"))
+                .int("threads", threads as u64)
+                .int("requests", total as u64)
+                .int("max_batch", batch as u64)
+                .num("rps", throughput);
+            lines.push(latency_fields(row, &summary).finish());
         }
         let speedup = rps[1] / rps[0].max(1e-9);
         println!("batching speedup: {speedup:.2}x over max_batch=1");
@@ -1813,7 +1797,7 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         lttf::obs::alloc::reset_peak();
         let allocs_before = lttf::obs::alloc::allocs_total();
         let bytes_before = lttf::obs::alloc::alloc_bytes_total();
-        let (elapsed, mut stats) = bench_serve_run(handle.addr(), threads, requests, &window);
+        let (elapsed, summary) = bench_serve_run(handle.addr(), threads, requests, &window);
         let peak_bytes = lttf::obs::alloc::peak_bytes();
         let live_bytes = lttf::obs::alloc::live_bytes();
         let allocs = lttf::obs::alloc::allocs_total().saturating_sub(allocs_before);
@@ -1822,7 +1806,6 @@ fn cmd_bench_serve(flags: HashMap<String, String>) {
         let allocs_per_request = allocs / n as u64;
         let alloc_bytes_per_request = alloc_bytes / n as u64;
         let throughput = n as f64 / elapsed.as_secs_f64();
-        let summary = stats.summary();
         println!(
             "memory: peak {} | live {} | {allocs_per_request} allocs/req, {} per request",
             fmt_bytes(peak_bytes),
