@@ -1,6 +1,6 @@
 //! Thread-scaling benches for the fork-join runtime: the same workloads at
 //! 1, 2, 4, and default (`available_parallelism`) threads, swept in-process
-//! via `lttf_parallel::set_threads_override`.
+//! with a `lttf_parallel::Overrides` guard.
 //!
 //! Run with `cargo bench --bench parallel_scaling`; emits JSON-lines
 //! records to stdout and `results/BENCH_parallel_scaling.json`. Because
@@ -10,7 +10,7 @@
 use lttf_bench::{series_for, splits};
 use lttf_data::synth::Dataset;
 use lttf_eval::{ModelKind, Scale, TrainedModel};
-use lttf_parallel::set_threads_override;
+use lttf_parallel::Overrides;
 use lttf_tensor::{Rng, Tensor};
 use lttf_testkit::bench::Suite;
 use std::hint::black_box;
@@ -47,7 +47,7 @@ fn main() {
     let conv_w = Tensor::randn(&[32, 32, 3], &mut rng);
 
     for &t in &counts {
-        set_threads_override(Some(t));
+        let _t = Overrides::threads(t).scope();
         suite.bench(&format!("model_forward/threads={t}"), || {
             black_box(model.predict_batch(&batch))
         });
@@ -61,7 +61,6 @@ fn main() {
             black_box(conv_x.conv1d(&conv_w, None, 1, 1))
         });
     }
-    set_threads_override(None);
 
     suite.finish();
 }

@@ -8,7 +8,8 @@
 //! `/simd=off` / `/simd=on`; on hosts without AVX2+FMA the two are the
 //! same scalar code and the header makes that visible.
 
-use lttf_tensor::simd::{backend_name, set_simd_override};
+use lttf_parallel::Overrides;
+use lttf_tensor::simd::backend_name;
 use lttf_tensor::{gru_layer_forward, Rng, Tensor};
 use lttf_testkit::bench::Suite;
 use std::hint::black_box;
@@ -102,14 +103,10 @@ fn main() {
     let mut suite = Suite::new("simd_kernels").warmup(3);
     let w = workloads();
 
-    set_simd_override(Some(false));
-    eprintln!("simd=off backend: {}", backend_name());
-    bench_backend(&mut suite, &w, "simd=off");
-
-    set_simd_override(Some(true));
-    eprintln!("simd=on  backend: {}", backend_name());
-    bench_backend(&mut suite, &w, "simd=on");
-
-    set_simd_override(None);
+    for (simd, label) in [(false, "simd=off"), (true, "simd=on")] {
+        let _b = Overrides::simd(simd).scope();
+        eprintln!("{label} backend: {}", backend_name());
+        bench_backend(&mut suite, &w, label);
+    }
     suite.finish();
 }

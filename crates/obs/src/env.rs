@@ -18,8 +18,8 @@
 //!
 //! The process-wide caching means tests must not mutate these variables
 //! at runtime and expect the change to be observed; use the dedicated
-//! override hooks instead (`lttf_parallel::set_threads_override`,
-//! [`crate::trace::set_enabled`]).
+//! override hooks instead (a scoped `lttf_parallel::Overrides` guard for
+//! the thread count and the SIMD backend, [`crate::trace::set_enabled`]).
 
 use std::sync::OnceLock;
 
@@ -33,10 +33,12 @@ fn flag(name: &'static str) -> bool {
 /// Parse a positive integer variable; `None` when unset, empty, `0`, or
 /// unparsable (a typo must never silently change behavior to "1 thread").
 fn positive(name: &'static str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+    std::env::var(name).ok().and_then(|v| parse_positive(&v))
+}
+
+/// The value rule behind [`positive`].
+fn parse_positive(v: &str) -> Option<usize> {
+    v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
 /// `LTTF_QUIET`: suppress per-epoch progress lines on stderr. Default:
@@ -57,7 +59,9 @@ pub fn threads() -> Option<usize> {
 /// `LTTF_SIMD`: kernel backend selection. `Some(false)` (`LTTF_SIMD=0` or
 /// empty) forces the scalar kernels; `Some(true)` asks for the SIMD
 /// kernels (still subject to runtime CPU feature detection); `None` when
-/// unset, meaning "use SIMD when the CPU supports it".
+/// unset, meaning "use SIMD when the CPU supports it". Inline: the SIMD
+/// dispatch asks on every kernel call.
+#[inline]
 pub fn simd() -> Option<bool> {
     static V: OnceLock<Option<bool>> = OnceLock::new();
     *V.get_or_init(|| {
@@ -115,14 +119,10 @@ mod tests {
 
     #[test]
     fn positive_rejects_garbage() {
-        // Exercise the parser directly (the cached accessors read the
-        // real environment exactly once).
-        std::env::set_var("LTTF_TEST_POSITIVE", "banana");
-        assert_eq!(super::positive("LTTF_TEST_POSITIVE"), None);
-        std::env::set_var("LTTF_TEST_POSITIVE", "0");
-        assert_eq!(super::positive("LTTF_TEST_POSITIVE"), None);
-        std::env::set_var("LTTF_TEST_POSITIVE", " 8 ");
-        assert_eq!(super::positive("LTTF_TEST_POSITIVE"), Some(8));
-        std::env::remove_var("LTTF_TEST_POSITIVE");
+        // Exercise the parser on plain strings: setting a variable would
+        // race every other test that reads the environment.
+        assert_eq!(super::parse_positive("banana"), None);
+        assert_eq!(super::parse_positive("0"), None);
+        assert_eq!(super::parse_positive(" 8 "), Some(8));
     }
 }

@@ -22,14 +22,16 @@
 //! Workers come from a lazily grown process-wide pool. The engaged thread
 //! count is, in order of precedence:
 //!
-//! 1. [`set_thread_threads_override`] (calling-thread only; lets each
-//!    replica of a serving pool pin its forwards to a disjoint share of
-//!    the thread budget),
-//! 2. [`set_threads_override`] (process-wide; used by benches and
-//!    determinism tests),
-//! 3. the `LTTF_THREADS` environment variable (read once; `1` forces the
+//! 1. the calling thread's `threads` override, set by an
+//!    [`Overrides::scope`] guard (serve replicas pin their share of the
+//!    thread budget this way; benches and tests sweep thread counts),
+//! 2. the `LTTF_THREADS` environment variable (read once; `1` forces the
 //!    fully serial path, no pool is ever touched),
-//! 4. [`std::thread::available_parallelism`].
+//! 3. [`std::thread::available_parallelism`] (resolved once).
+//!
+//! The same guard pins the SIMD backend read by `lttf_tensor::simd`, and
+//! each fork-join region carries its dispatcher's [`Overrides`] to the
+//! workers running its tasks, so one kernel call never mixes backends.
 //!
 //! ## Nesting and re-entrancy
 //!
@@ -58,7 +60,7 @@ mod pool;
 #[cfg(test)]
 mod proptests;
 
-pub use pool::{num_threads, set_thread_threads_override, set_threads_override};
+pub use pool::{num_threads, OverrideGuard, Overrides};
 
 /// Work items per task so each task carries at least `grain` work units:
 /// `max(1, grain / work_per_item)`.
@@ -241,14 +243,13 @@ mod tests {
 
     #[test]
     fn par_chunks_mut_matches_serial_fill() {
-        set_threads_override(Some(4));
+        let _t = Overrides::threads(4).scope();
         let mut v = vec![0u64; 1000];
         par_chunks_mut(&mut v, 7, |ci, chunk| {
             for (j, x) in chunk.iter_mut().enumerate() {
                 *x = (ci * 7 + j) as u64 * 3 + 1;
             }
         });
-        set_threads_override(None);
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i as u64 * 3 + 1);
         }
@@ -278,7 +279,7 @@ mod tests {
 
     #[test]
     fn zip3_slices_in_lockstep() {
-        set_threads_override(Some(3));
+        let _t = Overrides::threads(3).scope();
         let mut a = vec![0u32; 12]; // chunks of 4 → 3 chunks
         let mut b = vec![0u32; 6]; // chunks of 2 → 3 chunks
         let mut c = vec![0u32; 3]; // chunks of 1 → 3 chunks
@@ -287,7 +288,6 @@ mod tests {
             cb.fill(10 + i as u32);
             cc.fill(20 + i as u32);
         });
-        set_threads_override(None);
         assert_eq!(a, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
         assert_eq!(b, [10, 10, 11, 11, 12, 12]);
         assert_eq!(c, [20, 21, 22]);
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_regions_do_not_deadlock() {
-        set_threads_override(Some(4));
+        let _t = Overrides::threads(4).scope();
         let mut v = vec![0u32; 64];
         par_chunks_mut(&mut v, 8, |ci, chunk| {
             // nested region inside a (potential) worker: must run serially
@@ -312,14 +312,13 @@ mod tests {
                 inner.fill((ci * 8 + cj) as u32);
             });
         });
-        set_threads_override(None);
         assert_eq!(v[0], 0);
         assert_eq!(v[63], 8 * 7 + 3);
     }
 
     #[test]
     fn task_panics_propagate() {
-        set_threads_override(Some(2));
+        let _t = Overrides::threads(2).scope();
         let result = std::panic::catch_unwind(|| {
             let mut v = vec![0u32; 100];
             par_chunks_mut(&mut v, 10, |ci, _| {
@@ -328,16 +327,33 @@ mod tests {
                 }
             });
         });
-        set_threads_override(None);
         assert!(result.is_err(), "panic in a task must propagate to the caller");
     }
 
     #[test]
     fn threads_override_wins_over_default() {
-        set_threads_override(Some(3));
-        assert_eq!(num_threads(), 3);
-        set_threads_override(None);
-        assert!(num_threads() >= 1);
+        let default = num_threads();
+        let pinned = Overrides::threads(default + 2).scope();
+        assert_eq!(num_threads(), default + 2);
+        drop(pinned);
+        assert_eq!(num_threads(), default);
+    }
+
+    #[test]
+    fn nested_guards_restore_the_outer_value() {
+        let _outer = Overrides::simd(false).scope();
+        let outer = Overrides::current();
+        {
+            let _inner = Overrides::threads(5).scope();
+            assert_eq!(Overrides::current(), Overrides { threads: Some(5), simd: Some(false) });
+        }
+        assert_eq!(Overrides::current(), outer);
+        let unwound = std::panic::catch_unwind(|| {
+            let _inner = Overrides::threads(7).scope();
+            panic!("unwind through the guard");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(Overrides::current(), outer, "unwinding restores too");
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! finds the claim counter exhausted and goes back to sleep — it can never
 //! touch a stale task function, because the function pointer is only
 //! dereferenced after a successful claim and the dispatching thread does
-//! not return until every claim has completed.
+//! not return until every claim has completed. The context also carries the
+//! dispatcher's [`Overrides`], which workers adopt before claiming.
 
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -19,51 +21,83 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// `LTTF_THREADS`, it only bounds damage from a typo like `LTTF_THREADS=1e9`.
 const MAX_THREADS: usize = 256;
 
-/// Session-scoped thread-count override (0 = unset). Takes precedence over
-/// `LTTF_THREADS`; used by benches and determinism tests to sweep thread
-/// counts inside one process without touching the (cached) environment.
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+/// The calling thread's overrides of the two knobs that decide how a
+/// kernel executes: how many threads its parallel regions engage and
+/// which SIMD backend its inner loops dispatch to.
+///
+/// Install one with [`Overrides::scope`]. A `None` field leaves that knob
+/// as the enclosing scope set it (or at the environment/hardware default
+/// when no scope set it), so a thread sweep nests inside a backend pin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Overrides {
+    /// Threads a parallel region engages, outranking `LTTF_THREADS`.
+    /// `Some(1)` forces the fully serial path; `Some(0)` counts as 1.
+    pub threads: Option<usize>,
+    /// Kernel backend, outranking `LTTF_SIMD`: `Some(false)` forces the
+    /// scalar kernels, `Some(true)` asks for SIMD (still subject to
+    /// hardware detection). Read by `lttf_tensor::simd::enabled`.
+    pub simd: Option<bool>,
+}
 
 thread_local! {
-    /// Per-thread thread-count override (0 = unset). Outranks everything:
-    /// a serving replica pinned to a budget of the machine must keep that
-    /// budget even while another component sweeps the global override.
-    static LOCAL_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+    static OVERRIDES: Cell<Overrides> = const {
+        Cell::new(Overrides { threads: None, simd: None })
+    };
 }
 
-/// Set (or clear) the thread-count override. `Some(1)` forces the serial
-/// path exactly like `LTTF_THREADS=1`.
-pub fn set_threads_override(n: Option<usize>) {
-    OVERRIDE.store(n.unwrap_or(0).min(MAX_THREADS), Ordering::Relaxed);
+impl Overrides {
+    /// Only a thread count; the backend stays as it is.
+    pub const fn threads(n: usize) -> Overrides {
+        Overrides { threads: Some(n), simd: None }
+    }
+
+    /// Only a backend choice; the thread count stays as it is.
+    pub const fn simd(on: bool) -> Overrides {
+        Overrides { threads: None, simd: Some(on) }
+    }
+
+    /// The overrides in force on the calling thread. A pool worker runs
+    /// each region's tasks under the dispatching thread's value, so a
+    /// kernel sees one backend across all of its chunks.
+    #[inline]
+    pub fn current() -> Overrides {
+        OVERRIDES.with(Cell::get)
+    }
+
+    /// Install these overrides on the calling thread until the returned
+    /// guard drops (on unwind too), merged over the current value: set
+    /// fields replace, `None` fields keep what is in force.
+    pub fn scope(self) -> OverrideGuard {
+        let prev = Overrides::current();
+        let threads = self.threads.map(|n| n.clamp(1, MAX_THREADS)).or(prev.threads);
+        OVERRIDES.with(|c| c.set(Overrides { threads, simd: self.simd.or(prev.simd) }));
+        OverrideGuard { prev, _not_send: PhantomData }
+    }
 }
 
-/// Set (or clear) a thread-count override for the **calling thread only**.
-///
-/// Parallel regions dispatched from this thread engage at most `n`
-/// threads; other threads are unaffected. This is how a replicated
-/// serving tier pins each replica's batcher to a disjoint share of the
-/// `LTTF_THREADS` budget: replica `i` calls
-/// `set_thread_threads_override(Some(budget / replicas))` once at thread
-/// start, and every forward it runs inherits that cap. `Some(1)` forces
-/// the fully serial path for this thread.
-pub fn set_thread_threads_override(n: Option<usize>) {
-    LOCAL_OVERRIDE.with(|c| c.set(n.unwrap_or(0).min(MAX_THREADS)));
+/// Restores the overrides an [`Overrides::scope`] call replaced. Not
+/// `Send`: it must drop on the thread whose value it restores.
+#[must_use = "the overrides are lifted as soon as the guard drops"]
+pub struct OverrideGuard {
+    prev: Overrides,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for OverrideGuard {
+    fn drop(&mut self) {
+        OVERRIDES.with(|c| c.set(self.prev));
+    }
 }
 
 /// The thread count parallel regions will engage: the calling thread's
-/// [`set_thread_threads_override`] if set, else the process-wide
-/// [`set_threads_override`], else `LTTF_THREADS` (parsed once per process
-/// by `lttf_obs::env`), else [`std::thread::available_parallelism`]
-/// (resolved once per process: it reads cgroup files on Linux, tens of
-/// microseconds per call, and kernels ask on every dispatch).
+/// `threads` override ([`Overrides`]) if set, else `LTTF_THREADS` (parsed
+/// once per process by `lttf_obs::env`), else
+/// [`std::thread::available_parallelism`] (resolved once per process: it
+/// reads cgroup files on Linux, tens of microseconds per call, and kernels
+/// ask on every dispatch).
 pub fn num_threads() -> usize {
-    let l = LOCAL_OVERRIDE.with(|c| c.get());
-    if l != 0 {
-        return l;
-    }
-    let o = OVERRIDE.load(Ordering::Relaxed);
-    if o != 0 {
-        return o;
+    if let Some(n) = Overrides::current().threads {
+        return n;
     }
     if let Some(n) = lttf_obs::env::threads() {
         return n.min(MAX_THREADS);
@@ -89,6 +123,9 @@ unsafe impl Sync for TaskFn {}
 struct RunCtx {
     f: TaskFn,
     n_tasks: usize,
+    /// The dispatching thread's overrides; workers run the tasks under
+    /// them, so a kernel never mixes backends across its chunks.
+    overrides: Overrides,
     /// Next unclaimed task index; `fetch_add` claims are how work is
     /// distributed (assignment order does not affect results — chunks are
     /// disjoint, so any schedule yields identical bytes).
@@ -198,6 +235,7 @@ fn worker_loop() {
                 st = pool.start.wait(st).unwrap();
             }
         };
+        OVERRIDES.with(|c| c.set(ctx.overrides));
         execute_timed(&ctx);
     }
 }
@@ -260,6 +298,7 @@ pub(crate) fn run_tasks(n_tasks: usize, threads: usize, f: &(dyn Fn(usize) + Syn
     let ctx = Arc::new(RunCtx {
         f: TaskFn(f_static as *const _),
         n_tasks,
+        overrides: Overrides::current(),
         next: AtomicUsize::new(0),
         completed: AtomicUsize::new(0),
         panic: Mutex::new(None),

@@ -1,7 +1,7 @@
 //! Property tests of the chunking math and the parallel/serial equivalence
 //! guarantee, using the in-repo `lttf-testkit` harness.
 
-use crate::{chunk_bounds, chunk_count, par_chunks_mut, set_threads_override};
+use crate::{chunk_bounds, chunk_count, par_chunks_mut, Overrides};
 use lttf_testkit::prop;
 use lttf_testkit::{prop_assert, prop_assert_eq, properties};
 
@@ -51,13 +51,13 @@ properties! {
                 *slot = acc;
             }
         };
-        let mut serial = vec![0.0f32; len];
-        set_threads_override(Some(1));
-        par_chunks_mut(&mut serial, chunk_len, |ci, c| fill(ci, c, &src));
-        let mut parallel = vec![0.0f32; len];
-        set_threads_override(Some(threads));
-        par_chunks_mut(&mut parallel, chunk_len, |ci, c| fill(ci, c, &src));
-        set_threads_override(None);
+        let run = |threads| {
+            let _t = Overrides::threads(threads).scope();
+            let mut out = vec![0.0f32; len];
+            par_chunks_mut(&mut out, chunk_len, |ci, c| fill(ci, c, &src));
+            out
+        };
+        let (serial, parallel) = (run(1), run(threads));
         for i in 0..len {
             prop_assert_eq!(serial[i].to_bits(), parallel[i].to_bits());
         }
@@ -70,13 +70,12 @@ properties! {
         threads in prop::usizes(2..6)
     ) {
         let mut visits = vec![0u32; len];
-        set_threads_override(Some(threads));
+        let _t = Overrides::threads(threads).scope();
         par_chunks_mut(&mut visits, chunk_len, |_, chunk| {
             for v in chunk.iter_mut() {
                 *v += 1;
             }
         });
-        set_threads_override(None);
         prop_assert!(visits.iter().all(|&v| v == 1));
     }
 }

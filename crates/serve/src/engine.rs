@@ -220,9 +220,10 @@ impl Engine {
             .name(label.to_string())
             .spawn(move || {
                 // Pin this replica's forwards to its share of the thread
-                // budget; the setting is thread-local, so replicas with
-                // disjoint budgets never fight over a global knob.
-                lttf_parallel::set_thread_threads_override(threads);
+                // budget for the batcher's life; the override is
+                // thread-local, so replicas with disjoint budgets never
+                // fight over a global knob.
+                let _pin = lttf_parallel::Overrides { threads, simd: None }.scope();
                 batcher_loop(model, cfg, rx, depth2, stats2, replica)
             })
             .expect("spawn batcher thread");
@@ -415,12 +416,13 @@ mod tests {
     #[test]
     fn queue_full_rejects_instead_of_blocking() {
         let model = Arc::new(tiny_model());
-        // Capacity 1 and a long flush window: the second un-flushed
-        // submission can find the queue occupied.
+        // Capacity 1 and batches of one: while the batcher runs a forward
+        // it takes nothing off the queue, so a submission soon finds it
+        // occupied (filling a large batch would keep draining the queue).
         let engine = Engine::start(
             Arc::clone(&model),
             BatchConfig {
-                max_batch: 64,
+                max_batch: 1,
                 max_wait_ms: 500,
                 queue_cap: 1,
             },

@@ -444,8 +444,7 @@ mod tests {
     /// kernel choice is pinned for the duration of the test.
     #[test]
     fn conv1d_matches_reference_bit_for_bit() {
-        let _guard = crate::simd::test_lock();
-        crate::simd::set_simd_override(Some(false));
+        let _scalar = lttf_parallel::Overrides::simd(false).scope();
         let (b, cin, len, cout, k) = (3, 4, 29, 5, 3);
         let x = Tensor::from_vec(
             (0..b * cin * len)
@@ -490,7 +489,6 @@ mod tests {
                 );
             }
         }
-        crate::simd::set_simd_override(None);
     }
 
     #[test]

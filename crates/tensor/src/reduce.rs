@@ -426,11 +426,11 @@ mod tests {
             (0..n).map(|i| (i as f32 * 0.41).sin() * 3.0).collect(),
             &[n],
         );
-        lttf_parallel::set_threads_override(Some(1));
-        let serial = t.sum();
-        lttf_parallel::set_threads_override(Some(4));
-        let parallel = t.sum();
-        lttf_parallel::set_threads_override(None);
+        let sum_at = |threads| {
+            let _t = lttf_parallel::Overrides::threads(threads).scope();
+            t.sum()
+        };
+        let (serial, parallel) = (sum_at(1), sum_at(4));
         assert_eq!(serial.to_bits(), parallel.to_bits());
     }
 

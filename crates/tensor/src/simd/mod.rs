@@ -11,10 +11,13 @@
 //! - `scalar`   — the portable Rust loops that were previously the only
 //!   implementation. Always available, always the fallback.
 //!
-//! Selection order: [`set_simd_override`] (tests/benches) outranks the
+//! Selection order: the calling thread's `simd` override (installed by an
+//! [`Overrides::scope`] guard in tests and benches) outranks the
 //! `LTTF_SIMD` environment variable (`LTTF_SIMD=0` forces scalar), which
-//! outranks auto-detection. The decision is process-global, so a kernel
-//! never mixes backends across the parallel pool's chunk boundaries.
+//! outranks auto-detection. The override is per thread, yet a kernel never
+//! mixes backends across the parallel pool's chunk boundaries: each
+//! fork-join region carries its dispatcher's overrides to the workers that
+//! run its chunks.
 //!
 //! # Determinism contract (see DESIGN.md §8)
 //!
@@ -27,16 +30,12 @@
 //! ulp. Within **one** backend every kernel remains a pure function of its
 //! operands and shapes — bit-identical across runs and thread counts.
 
-use std::sync::atomic::{AtomicI8, Ordering};
+use lttf_parallel::Overrides;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 mod scalar;
-
-/// Process-wide backend override: `-1` unset, `0` force scalar, `1`
-/// prefer SIMD (subject to hardware detection).
-static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
 
 /// True when this CPU can run the AVX2+FMA kernels (cached detection).
 fn hw_supported() -> bool {
@@ -54,42 +53,13 @@ fn hw_supported() -> bool {
     }
 }
 
-/// The `LTTF_SIMD`-aware default (parsed once per process).
-fn env_default() -> bool {
-    static V: OnceLock<bool> = OnceLock::new();
-    *V.get_or_init(|| match lttf_obs::env::simd() {
-        Some(false) => false,
-        _ => hw_supported(),
-    })
-}
-
-/// True when kernels should take the AVX2+FMA path for this call.
+/// True when kernels should take the AVX2+FMA path for this call: the
+/// calling thread's `simd` override, else `LTTF_SIMD`, else yes — always
+/// gated on hardware support.
 #[inline]
 pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => hw_supported(),
-        _ => env_default(),
-    }
-}
-
-/// Set (or clear) the backend override. `Some(false)` forces the scalar
-/// kernels exactly like `LTTF_SIMD=0`; `Some(true)` asks for the SIMD
-/// kernels (still gated on hardware support); `None` restores the
-/// environment/auto default.
-///
-/// The override is **process-global** (kernels run on pool worker
-/// threads, so a thread-local override could mix backends within one
-/// tensor). Tests that flip it must serialize against other tests that
-/// depend on the backend — see `tests/determinism.rs`'s `exclusive()`
-/// pattern and this crate's [`test_lock`].
-pub fn set_simd_override(v: Option<bool>) {
-    let enc = match v {
-        None => -1,
-        Some(false) => 0,
-        Some(true) => 1,
-    };
-    OVERRIDE.store(enc, Ordering::Relaxed);
+    let wanted = Overrides::current().simd.or_else(lttf_obs::env::simd);
+    wanted.unwrap_or(true) && hw_supported()
 }
 
 /// Name of the backend [`enabled`] resolves to right now, for report
@@ -104,15 +74,6 @@ pub fn backend_name() -> &'static str {
     } else {
         "scalar"
     }
-}
-
-/// Serializes tests that flip [`set_simd_override`] (or compare backends)
-/// within one test binary. Lock poisoning is ignored — a failed test must
-/// not cascade into every later backend test.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // ---------------------------------------------------------------------------
@@ -302,34 +263,38 @@ pub fn gru_gates_row(
     scalar::gru_gates_row(gi, gh, h, out, stash);
 }
 
+/// Run `f` with the scalar kernels forced, then with SIMD requested, on
+/// the calling thread only; returns `(scalar, simd)`.
+#[cfg(test)]
+pub(crate) fn on_both_backends<T>(f: impl Fn() -> T) -> (T, T) {
+    let pinned = |simd| {
+        let _g = Overrides::simd(simd).scope();
+        f()
+    };
+    (pinned(false), pinned(true))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn backend_name_is_consistent_with_enabled() {
-        let _guard = test_lock();
-        set_simd_override(Some(false));
-        assert!(!enabled());
-        assert!(backend_name().starts_with("scalar"));
-        set_simd_override(Some(true));
-        assert_eq!(enabled(), hw_supported());
-        set_simd_override(None);
+        let (scalar, simd) = on_both_backends(|| (enabled(), backend_name()));
+        assert!(!scalar.0 && scalar.1.starts_with("scalar"));
+        assert_eq!(simd.0, hw_supported());
     }
 
     #[test]
     fn binary_ops_bit_identical_across_backends() {
-        let _guard = test_lock();
         let a: Vec<f32> = (0..133).map(|i| (i as f32 * 0.37).sin() * 8.0).collect();
         let b: Vec<f32> = (0..133).map(|i| (i as f32 * 0.53).cos() * 2.0 + 0.5).collect();
         for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
-            let mut scalar_out = vec![0.0f32; a.len()];
-            set_simd_override(Some(false));
-            binary(op, &a, &b, &mut scalar_out);
-            let mut simd_out = vec![0.0f32; a.len()];
-            set_simd_override(Some(true));
-            binary(op, &a, &b, &mut simd_out);
-            set_simd_override(None);
+            let (scalar_out, simd_out) = on_both_backends(|| {
+                let mut out = vec![0.0f32; a.len()];
+                binary(op, &a, &b, &mut out);
+                out
+            });
             for (i, (s, v)) in scalar_out.iter().zip(&simd_out).enumerate() {
                 assert_eq!(s.to_bits(), v.to_bits(), "{op:?} lane {i}: {s} vs {v}");
             }
@@ -338,16 +303,13 @@ mod tests {
 
     #[test]
     fn unary_ops_close_across_backends() {
-        let _guard = test_lock();
         let x: Vec<f32> = (0..257).map(|i| (i as f32 - 128.0) * 0.11).collect();
         for op in [UnOp::Exp, UnOp::Sigmoid, UnOp::Tanh, UnOp::Gelu] {
-            let mut scalar_out = vec![0.0f32; x.len()];
-            set_simd_override(Some(false));
-            unary(op, &x, &mut scalar_out);
-            let mut simd_out = vec![0.0f32; x.len()];
-            set_simd_override(Some(true));
-            unary(op, &x, &mut simd_out);
-            set_simd_override(None);
+            let (scalar_out, simd_out) = on_both_backends(|| {
+                let mut out = vec![0.0f32; x.len()];
+                unary(op, &x, &mut out);
+                out
+            });
             for (i, (s, v)) in scalar_out.iter().zip(&simd_out).enumerate() {
                 let tol = 4e-6 * s.abs().max(1.0);
                 assert!(
@@ -361,15 +323,10 @@ mod tests {
 
     #[test]
     fn reductions_close_across_backends() {
-        let _guard = test_lock();
         for n in [0usize, 1, 7, 31, 32, 33, 255, 256, 257, 1000, 8192] {
             let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin() * 3.0).collect();
             let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).cos() * 2.0).collect();
-            set_simd_override(Some(false));
-            let (s_sum, s_dot) = (sum(&a), dot(&a, &b));
-            set_simd_override(Some(true));
-            let (v_sum, v_dot) = (sum(&a), dot(&a, &b));
-            set_simd_override(None);
+            let ((s_sum, s_dot), (v_sum, v_dot)) = on_both_backends(|| (sum(&a), dot(&a, &b)));
             assert!(
                 (s_sum - v_sum).abs() <= 1e-4 * s_sum.abs().max(1.0),
                 "sum len {n}: {s_sum} vs {v_sum}"

@@ -265,8 +265,8 @@ mod tests {
 
     #[test]
     fn suite_times_a_cheap_function() {
-        std::env::set_var("BENCH_OUT", std::env::temp_dir().join("lttf_bench_test"));
         let mut s = Suite::new("selftest").samples(3);
+        s.out_dir = std::env::temp_dir().join("lttf_bench_test");
         s.bench("noop_sum", || std::hint::black_box((0..64).sum::<i64>()));
         assert_eq!(s.records.len(), 1);
         assert!(s.records[0].median_ns > 0);
@@ -274,6 +274,5 @@ mod tests {
         let p = std::env::temp_dir().join("lttf_bench_test/BENCH_selftest.json");
         let body = std::fs::read_to_string(p).expect("bench file written");
         assert!(body.lines().count() == 1 && body.contains("noop_sum"));
-        std::env::remove_var("BENCH_OUT");
     }
 }

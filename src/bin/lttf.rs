@@ -447,7 +447,7 @@ fn cmd_profile(flags: HashMap<String, String>) {
         .get("out-dir")
         .map(String::as_str)
         .unwrap_or("results/runs");
-    lttf::parallel::set_threads_override(Some(threads.max(1)));
+    let _threads = lttf::parallel::Overrides::threads(threads).scope();
 
     let series = Dataset::Ettm1.generate(SynthSpec {
         len,

@@ -4,44 +4,37 @@
 //!
 //! This is the load-bearing guarantee of `lttf-parallel`'s static-chunking
 //! design — reproducibility of training runs cannot depend on the machine's
-//! core count. Each case sweeps `set_threads_override` and compares raw
-//! f32 bit patterns, not approximate values.
+//! core count. Each case sweeps the thread count with an `Overrides` guard
+//! and compares raw f32 bit patterns, not approximate values. The guard is
+//! per thread (the pool carries it into its workers), so cases run
+//! concurrently without a lock.
 //!
 //! Since the SIMD microkernels landed, the contract is per kernel *backend*
 //! (DESIGN.md §8): scalar and AVX2+FMA may differ in the last ulp, but each
 //! backend alone must stay bit-identical across every thread count. The
-//! `*_on_both_simd_backends` cases pin each backend in turn via
-//! `set_simd_override` and re-run the thread sweep, and the lane-parallel
-//! binary ops (`add`/`sub`/`mul`/`div`) are additionally asserted
-//! bit-identical *across* backends.
+//! `*_on_both_simd_backends` cases pin each backend in turn and re-run the
+//! thread sweep, and the lane-parallel binary ops (`add`/`sub`/`mul`/`div`)
+//! are additionally asserted bit-identical *across* backends.
 
 use lttf::nn::attention::{window_global_backward, window_global_forward};
-use lttf::tensor::simd::set_simd_override;
 use lttf::tensor::{Rng, Tensor};
-use lttf_parallel::set_threads_override;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// The override is process-global, so cases that sweep it must not
-/// interleave with each other.
-fn exclusive() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+use lttf_parallel::Overrides;
 
 /// Thread counts swept by every case: serial, oversubscribed, and default.
 const SWEEP: [Option<usize>; 3] = [Some(4), Some(8), None];
 
+/// Run `f` on the calling thread under `overrides`.
+fn under<T>(overrides: Overrides, f: impl FnOnce() -> T) -> T {
+    let _g = overrides.scope();
+    f()
+}
+
 /// Run `f` at 1 thread, then at each sweep point, asserting the output
 /// bytes never change.
 fn assert_bit_identical(label: &str, f: impl Fn() -> Vec<Tensor>) {
-    set_threads_override(Some(1));
-    let reference = f();
+    let reference = under(Overrides::threads(1), &f);
     for &threads in &SWEEP {
-        set_threads_override(threads);
-        let got = f();
-        set_threads_override(None);
+        let got = under(Overrides { threads, simd: None }, &f);
         assert_eq!(reference.len(), got.len());
         for (ti, (a, b)) in reference.iter().zip(&got).enumerate() {
             assert_eq!(a.shape(), b.shape(), "{label}: shape drift at output {ti}");
@@ -59,7 +52,6 @@ fn assert_bit_identical(label: &str, f: impl Fn() -> Vec<Tensor>) {
 
 #[test]
 fn matmul_2d_is_thread_count_invariant() {
-    let _g = exclusive();
     let mut rng = Rng::seed(101);
     let a = Tensor::randn(&[128, 128], &mut rng);
     let b = Tensor::randn(&[128, 128], &mut rng);
@@ -68,7 +60,6 @@ fn matmul_2d_is_thread_count_invariant() {
 
 #[test]
 fn batched_matmul_is_thread_count_invariant() {
-    let _g = exclusive();
     let mut rng = Rng::seed(102);
     let a = Tensor::randn(&[16, 48, 32], &mut rng);
     let b = Tensor::randn(&[16, 32, 48], &mut rng);
@@ -78,7 +69,6 @@ fn batched_matmul_is_thread_count_invariant() {
 
 #[test]
 fn conv1d_is_thread_count_invariant() {
-    let _g = exclusive();
     let mut rng = Rng::seed(103);
     let x = Tensor::randn(&[8, 16, 96], &mut rng);
     let w = Tensor::randn(&[16, 16, 3], &mut rng);
@@ -92,7 +82,6 @@ fn conv1d_is_thread_count_invariant() {
 
 #[test]
 fn window_attention_is_thread_count_invariant() {
-    let _g = exclusive();
     let mut rng = Rng::seed(104);
     let q = Tensor::randn(&[8, 64, 16], &mut rng);
     let k = Tensor::randn(&[8, 64, 16], &mut rng);
@@ -108,7 +97,6 @@ fn window_attention_is_thread_count_invariant() {
 
 #[test]
 fn reductions_and_maps_are_thread_count_invariant() {
-    let _g = exclusive();
     let mut rng = Rng::seed(105);
     let big = Tensor::randn(&[300_000], &mut rng);
     let other = Tensor::randn(&[300_000], &mut rng);
@@ -135,7 +123,6 @@ fn reductions_and_maps_are_thread_count_invariant() {
 /// (m % MR != 0, k > KC forces the packed-panel path).
 #[test]
 fn kernels_are_thread_count_invariant_on_both_simd_backends() {
-    let _g = exclusive();
     let mut rng = Rng::seed(106);
     let a = Tensor::randn(&[66, 300], &mut rng);
     let b = Tensor::randn(&[300, 48], &mut rng);
@@ -149,9 +136,9 @@ fn kernels_are_thread_count_invariant_on_both_simd_backends() {
     let w_hh = Tensor::randn(&[8, 24], &mut rng);
     let b_ih = Tensor::randn(&[24], &mut rng);
     let b_hh = Tensor::randn(&[24], &mut rng);
-    for backend in [Some(false), Some(true)] {
-        set_simd_override(backend);
-        assert_bit_identical(&format!("all_kernels simd={backend:?}"), || {
+    for simd in [false, true] {
+        let _b = Overrides::simd(simd).scope();
+        assert_bit_identical(&format!("all_kernels simd={simd}"), || {
             let (gru_out, stash) =
                 lttf::tensor::gru_layer_forward(&gx, &w_ih, &w_hh, &b_ih, &b_hh, true);
             let gg = lttf::tensor::gru_layer_backward(
@@ -177,7 +164,6 @@ fn kernels_are_thread_count_invariant_on_both_simd_backends() {
             ]
         });
     }
-    set_simd_override(None);
 }
 
 /// The lane-parallel binary ops are the one family whose bytes must agree
@@ -185,16 +171,12 @@ fn kernels_are_thread_count_invariant_on_both_simd_backends() {
 /// reassociates (DESIGN.md §8).
 #[test]
 fn lane_parallel_binary_ops_agree_across_simd_backends() {
-    let _g = exclusive();
     let mut rng = Rng::seed(107);
     let a = Tensor::randn(&[150_003], &mut rng);
     let b = Tensor::randn(&[150_003], &mut rng).add_scalar(3.0);
     let run = || vec![a.add(&b), a.sub(&b), a.mul(&b), a.div(&b)];
-    set_simd_override(Some(false));
-    let scalar = run();
-    set_simd_override(Some(true));
-    let simd = run();
-    set_simd_override(None);
+    let scalar = under(Overrides::simd(false), run);
+    let simd = under(Overrides::simd(true), run);
     for (ti, (s, v)) in scalar.iter().zip(&simd).enumerate() {
         for (i, (&x, &y)) in s.data().iter().zip(v.data()).enumerate() {
             assert_eq!(
@@ -204,4 +186,32 @@ fn lane_parallel_binary_ops_agree_across_simd_backends() {
             );
         }
     }
+}
+
+/// Two threads pinned to different backends run the same pooled kernel at
+/// the same time. Each must keep getting its own backend's single-thread
+/// bytes: a pool worker never lends one dispatcher's backend to another
+/// dispatcher's chunks.
+#[test]
+fn concurrent_dispatchers_keep_their_own_simd_backend() {
+    let mut rng = Rng::seed(108);
+    let a = Tensor::randn(&[66, 300], &mut rng);
+    let b = Tensor::randn(&[300, 48], &mut rng);
+    let bits = || -> Vec<u32> { a.matmul(&b).data().iter().map(|x| x.to_bits()).collect() };
+    let serial = |simd| under(Overrides { threads: Some(1), simd: Some(simd) }, bits);
+    let references = [serial(false), serial(true)];
+    if under(Overrides::simd(true), lttf::tensor::simd::enabled) {
+        assert_ne!(references[0], references[1], "the backends must be told apart");
+    }
+    std::thread::scope(|s| {
+        for (simd, reference) in [false, true].into_iter().zip(&references) {
+            let bits = &bits;
+            s.spawn(move || {
+                let _g = Overrides { threads: Some(4), simd: Some(simd) }.scope();
+                for round in 0..40 {
+                    assert!(bits() == *reference, "simd={simd}: bytes drifted in round {round}");
+                }
+            });
+        }
+    });
 }

@@ -11,11 +11,10 @@ use lttf::eval::{train_logged, HealthConfig, ModelKind, StopReason, TrainOptions
 use lttf::nn::attention::window_global_forward;
 use lttf::obs;
 use lttf::tensor::{Rng, Tensor};
-use lttf_parallel::set_threads_override;
+use lttf_parallel::Overrides;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// The registry and the thread override are process-global, so cases must
-/// not interleave.
+/// The span registry is process-global, so cases must not interleave.
 fn exclusive() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -265,7 +264,7 @@ fn trace_records_kernel_spans_as_chrome_json() {
 fn pool_counts_serial_fallbacks() {
     let _g = exclusive();
     obs::reset();
-    set_threads_override(Some(4));
+    let _t = Overrides::threads(4).scope();
 
     // A parallel region inside a parallel region: the inner regions run
     // on pool workers and must fall back to serial (counted as nested).
@@ -279,7 +278,6 @@ fn pool_counts_serial_fallbacks() {
         });
         chunk[0] = inner.iter().sum();
     });
-    set_threads_override(None);
 
     let nested = obs::calls("", "pool.serial_nested");
     let contended = obs::calls("", "pool.serial_contended");
@@ -302,16 +300,17 @@ fn telemetry_preserves_thread_count_determinism() {
     let mut rng = Rng::seed(13);
     let a = Tensor::randn(&[96, 96], &mut rng);
     let b = Tensor::randn(&[96, 96], &mut rng);
-    set_threads_override(Some(1));
-    let reference = a.matmul(&b);
+    let at = |threads| {
+        let _t = Overrides::threads(threads).scope();
+        a.matmul(&b)
+    };
+    let reference = at(1);
     for threads in [2, 4, 8] {
-        set_threads_override(Some(threads));
-        let got = a.matmul(&b);
+        let got = at(threads);
         for (x, y) in reference.data().iter().zip(got.data()) {
             assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
         }
     }
-    set_threads_override(None);
     // Spans recorded while sweeping: 1 reference + 3 sweep calls.
     assert_eq!(obs::calls("", "matmul"), 4);
 }
